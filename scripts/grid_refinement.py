@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Grid-refinement study: stationary profiles at N = 51, 101, 201 and the
-second-order convergence of the discrete Laplacian.
+"""Grid-refinement study: stationary profiles at N = 51 ... 1601 with their
+observed order of convergence, and the second-order convergence of the
+discrete Laplacian.
 
 Usage: python scripts/grid_refinement.py
 """
@@ -37,16 +38,20 @@ def main():
         prev = err
 
     print("Stationary profiles:")
+    nodes = (51, 101, 201, 401, 801, 1601)
     profiles = {}
-    for n in (51, 101, 201):
+    for n in nodes:
         t0 = time.perf_counter()
         result = integrate_to_steady(model, bc, SolverSettings(node_count=n))
         profiles[n] = result.profile.states
-        print(f"  N = {n:4d}: steps {result.steps:7d}, t_end {result.elapsed_time:8.2f}, "
-              f"wall {time.perf_counter() - t0:6.2f}s")
-    for coarse, fine in ((51, 101), (101, 201)):
+        print(f"  N = {n:4d}: iterations {result.steps:3d}, pseudo-time "
+              f"{result.elapsed_time:9.3e}, wall {time.perf_counter() - t0:6.3f}s")
+    prev = None
+    for coarse, fine in zip(nodes, nodes[1:]):
         d = np.abs(profiles[fine][::2] - profiles[coarse]).max()
-        print(f"  sup diff N={coarse} vs N={fine} at shared nodes: {d:.3e}")
+        order = "" if prev is None else f"  observed order {np.log2(prev / d):.3f}"
+        print(f"  sup diff N={coarse} vs N={fine} at shared nodes: {d:.3e}{order}")
+        prev = d
 
 
 if __name__ == "__main__":

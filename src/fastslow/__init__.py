@@ -30,7 +30,6 @@ from .pde import (  # noqa: F401
     integrate_to_steady,
     laplacian,
     linear_initial_profile,
-    step,
 )
 from .redim import (  # noqa: F401
     GradientEstimate,

@@ -68,7 +68,6 @@ class RunConfig:
     nodes: int = 101
     steady_tol: float = 1e-8
     dt_safety: float = 0.8
-    max_time: float = 1e4
     min_gap_ratio: float = 10.0
     gql_mode: str = "least_squares"
     mesh_points_per_axis: int = 30
@@ -242,6 +241,11 @@ def cmd_gql(config: RunConfig, args) -> int:
     return 0
 
 
+def _solver_settings(config: RunConfig) -> SolverSettings:
+    return SolverSettings(node_count=config.nodes, dt_safety=config.dt_safety,
+                          steady_tol=config.steady_tol)
+
+
 def _boundary_conditions(config: RunConfig, model) -> BoundaryConditions:
     z_eq = equilibrium(model, _default_guess(model))
     right = np.asarray(config.fasttime_start, dtype=float)
@@ -251,9 +255,7 @@ def _boundary_conditions(config: RunConfig, model) -> BoundaryConditions:
 def cmd_pde_solve(config: RunConfig, args) -> int:
     model = build_model(config)
     bc = _boundary_conditions(config, model)
-    settings = SolverSettings(node_count=config.nodes, dt_safety=config.dt_safety,
-                              steady_tol=config.steady_tol, max_time=config.max_time)
-    result = integrate_to_steady(model, bc, settings)
+    result = integrate_to_steady(model, bc, _solver_settings(config))
     write_profile_csv(args.out, result.profile, model.species,
                       provenance(model, "pde-solve"))
     if args.history:
@@ -278,18 +280,15 @@ def _gradient_from_spec(spec_text, profile, mode):
 
 def cmd_redim(config: RunConfig, args) -> int:
     model = build_model(config)
+    bc = _boundary_conditions(config, model)
     if args.grad and args.grad.startswith("const:"):
         profile = None
     elif args.grad and args.grad != "profile":
         profile = read_profile_csv(args.grad)
     else:
-        bc = _boundary_conditions(config, model)
-        settings = SolverSettings(node_count=config.nodes, dt_safety=config.dt_safety,
-                                  steady_tol=config.steady_tol, max_time=config.max_time)
-        profile = integrate_to_steady(model, bc, settings).profile
+        profile = integrate_to_steady(model, bc, _solver_settings(config)).profile
     mode = "1d" if args.dim == 1 else "2d"
     grad = _gradient_from_spec(args.grad or "profile", profile, mode)
-    bc = _boundary_conditions(config, model)
     if args.dim == 1:
         manifold = evolve_redim_1d(model, (bc.left_state, bc.right_state),
                                    M=config.redim1d_points, grad=grad,
@@ -346,9 +345,7 @@ def cmd_fast_time(config: RunConfig, args) -> int:
         report = measure_fast_time_ode(dec, model, z0)
     else:
         bc = _boundary_conditions(config, model)
-        settings = SolverSettings(node_count=config.nodes, dt_safety=config.dt_safety,
-                                  steady_tol=config.steady_tol, max_time=config.max_time)
-        report = measure_fast_time_pde(dec, model, bc, settings,
+        report = measure_fast_time_pde(dec, model, bc, _solver_settings(config),
                                        x0=args.x0 if args.x0 is not None else config.fasttime_x0)
     if args.out:
         write_rows_csv(args.out, FASTTIME_HEADER, [_fasttime_row(report)],
@@ -392,8 +389,7 @@ def run_pipeline(config: RunConfig, out_dir: str | None = None) -> dict:
         stage = "pde"
         bc = BoundaryConditions(left_state=z_eq,
                                 right_state=np.asarray(config.fasttime_start, dtype=float))
-        settings = SolverSettings(node_count=config.nodes, dt_safety=config.dt_safety,
-                                  steady_tol=config.steady_tol, max_time=config.max_time)
+        settings = _solver_settings(config)
         steady = integrate_to_steady(model, bc, settings)
         path = os.path.join(out, "stationary_profile.csv")
         write_profile_csv(path, steady.profile, model.species, provenance(model, "pde"))

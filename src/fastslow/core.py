@@ -88,9 +88,6 @@ class SpatialProfile:
     def state(self, node_index: int) -> np.ndarray:
         return self.states[node_index]
 
-    def with_states(self, states: np.ndarray) -> "SpatialProfile":
-        return SpatialProfile(self.grid, states)
-
 
 @dataclass(frozen=True)
 class ReactionDiffusionModel:

@@ -2,7 +2,7 @@
 
 Exit-code grouping used by the CLI:
   2 -> ConfigError
-  3 -> NumericalError (non-convergence, blow-up, stability violations)
+  3 -> NumericalError (non-convergence, blow-up)
   4 -> DecompositionError (rank/gap/parametrization failures)
 """
 
@@ -33,10 +33,6 @@ class ConvergenceError(NumericalError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-
-
-class StabilityError(NumericalError):
-    """Requested time step exceeds the stable step bound."""
 
 
 class DivergenceError(NumericalError):

@@ -1,9 +1,9 @@
-"""Method-of-lines solver for the 1-D reaction-diffusion system.
+"""Method-of-lines discretisation of the 1-D reaction-diffusion system.
 
-Explicit RK4 stepping with an enforced stability bound: the step must stay
-below both the diffusion limit dx^2 / (2 max D) and 2 / rho, where rho bounds
-the source Jacobian spectral radius (Gershgorin row sums over all nodes).
-Boundary nodes are Dirichlet-held and never evolve.
+The stationary profile is the steady state of dS/dt = source(S) + D Lap(S)
+on the interior nodes, reached by :mod:`fastslow.steady`; boundary nodes are
+Dirichlet-held.  :func:`stable_dt` bounds the step of the explicit
+transients timed in :mod:`fastslow.fasttime`.
 """
 
 from __future__ import annotations
@@ -20,13 +20,8 @@ from .core import (
     as_state,
     interior_full_rhs,
 )
-from .errors import (
-    BoundaryNodeError,
-    ContractViolationError,
-    ConvergenceError,
-    DivergenceError,
-    StabilityError,
-)
+from .errors import BoundaryNodeError, ContractViolationError
+from .steady import relax_free
 
 __all__ = [
     "BoundaryConditions",
@@ -35,7 +30,6 @@ __all__ = [
     "laplacian",
     "linear_initial_profile",
     "stable_dt",
-    "step",
     "integrate_to_steady",
 ]
 
@@ -59,7 +53,6 @@ class SolverSettings:
     node_count: int = 101
     dt_safety: float = 0.8
     steady_tol: float = 1e-8
-    max_time: float = 1e4
 
     def __post_init__(self):
         if self.node_count < 3:
@@ -72,9 +65,17 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class SteadyResult:
+    """A stationary profile and how the solver reached it.
+
+    ``steps`` counts the pseudo-transient continuation iterations,
+    ``elapsed_time`` is the pseudo-time reached and ``residual_history``
+    holds one ``(pseudo_time, residual)`` pair for the start and each
+    accepted step.
+    """
+
     profile: SpatialProfile
     elapsed_time: float
-    residual_history: tuple  # ((t, residual), ...) logged every 100 steps
+    residual_history: tuple
     steps: int
     wall_seconds: float
 
@@ -100,90 +101,36 @@ def linear_initial_profile(left, right, grid: Grid1D) -> SpatialProfile:
     return SpatialProfile(grid, states)
 
 
-def source_spectral_radius_bound(model: ReactionDiffusionModel, states: np.ndarray) -> float:
-    """Gershgorin row-sum bound on |lambda| of the source Jacobian, max over nodes."""
-    J = model.jacobian(states)
-    return float(np.abs(J).sum(axis=-1).max())
-
-
 def stable_dt(model: ReactionDiffusionModel, profile: SpatialProfile,
               safety: float = 1.0) -> float:
-    """Largest admissible step: safety * min(dx^2/(2 max D), 2/rho)."""
+    """Largest admissible step: safety * min(dx^2/(2 max D), 2/rho), rho the
+    Gershgorin row-sum bound on the source Jacobian over all nodes."""
     dx = profile.grid.spacing
     dmax = float(model.diffusion.max())
     diff_limit = dx * dx / (2.0 * dmax) if dmax > 0.0 else np.inf
-    rho = source_spectral_radius_bound(model, profile.states)
+    rho = float(np.abs(model.jacobian(profile.states)).sum(axis=-1).max())
     src_limit = 2.0 / rho if rho > 0.0 else np.inf
     return safety * min(diff_limit, src_limit)
 
 
-def _rk4_states(model: ReactionDiffusionModel, states: np.ndarray, dx: float,
-                dt: float) -> np.ndarray:
-    k1 = interior_full_rhs(model, states, dx)
-    k2 = interior_full_rhs(model, states + (0.5 * dt) * k1, dx)
-    k3 = interior_full_rhs(model, states + (0.5 * dt) * k2, dx)
-    k4 = interior_full_rhs(model, states + dt * k3, dx)
-    return states + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def step(profile: SpatialProfile, model: ReactionDiffusionModel, dt: float,
-         dt_safety: float = 1.0) -> SpatialProfile:
-    """One explicit RK4 step of all interior nodes; boundaries copied unchanged."""
-    if dt <= 0.0:
-        raise ContractViolationError("dt must be positive")
-    limit = stable_dt(model, profile, safety=dt_safety)
-    if dt > limit:
-        raise StabilityError(f"dt = {dt:g} exceeds stable bound {limit:g}")
-    new_states = _rk4_states(model, profile.states, profile.grid.spacing, dt)
-    if not np.all(np.isfinite(new_states)):
-        raise DivergenceError("integration produced non-finite values")
-    return profile.with_states(new_states)
-
-
 def integrate_to_steady(model: ReactionDiffusionModel, bc: BoundaryConditions,
                         settings: SolverSettings | None = None) -> SteadyResult:
-    """March the linear initial profile to stationarity.
+    """Relax the linear initial profile to stationarity.
 
-    Convergence is judged by the sup-norm of the full interior RHS, checked
-    (and logged) every 100 steps; the step size is refreshed on the same
-    cadence from the current stability bound.
+    Convergence is judged by the sup-norm of the full interior RHS, which
+    must fall below ``settings.steady_tol``.
     """
     settings = settings or SolverSettings()
     grid = Grid1D(settings.node_count)
-    profile = linear_initial_profile(bc.left_state, bc.right_state, grid)
-    states = np.array(profile.states)
-    dx = grid.spacing
-    t = 0.0
-    nstep = 0
-    history = []
-    dt = None
+    initial = linear_initial_profile(bc.left_state, bc.right_state, grid).states
     wall0 = time.perf_counter()
-    while True:
-        k1 = interior_full_rhs(model, states, dx)
-        if nstep % 100 == 0:
-            residual = float(np.abs(k1[1:-1]).max())
-            history.append((t, residual))
-            if residual < settings.steady_tol:
-                break
-            if t > settings.max_time:
-                raise ConvergenceError(
-                    f"no stationary profile by t = {settings.max_time:g}",
-                    residual=residual,
-                )
-            snapshot = SpatialProfile(grid, states)
-            dt = stable_dt(model, snapshot, safety=settings.dt_safety)
-        k2 = interior_full_rhs(model, states + (0.5 * dt) * k1, dx)
-        k3 = interior_full_rhs(model, states + (0.5 * dt) * k2, dx)
-        k4 = interior_full_rhs(model, states + dt * k3, dx)
-        states = states + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(states)):
-            raise DivergenceError(f"integration diverged at t = {t:g}")
-        t += dt
-        nstep += 1
+    states, history = relax_free(lambda S: interior_full_rhs(model, S, grid.spacing),
+                                 initial, np.s_[1:-1], (1, initial.shape[1] - 1),
+                                 settings.steady_tol)
     return SteadyResult(
         profile=SpatialProfile(grid, states),
-        elapsed_time=t,
+        elapsed_time=history[-1][0],
         residual_history=tuple(history),
-        steps=nstep,
+        steps=len(history) - 1,
         wall_seconds=time.perf_counter() - wall0,
     )

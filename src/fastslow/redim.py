@@ -17,12 +17,9 @@ parameters; by default they are interpolated from a detailed stationary
 profile (chi(theta) = dX/dx at the x where X(x) = theta), with a constant
 override available.
 
-Relaxation uses explicit RK4 with per-node stable steps (diffusion CFL on
-the theta grid, source spectral-radius bound, and an advective limit for the
-graph-correction term).  Per-node steps only recondition the pseudo-time
-path: the converged manifold satisfies the same pointwise residual test as
-with a global step, and reaches it orders of magnitude sooner when the
-gradient estimate is strongly non-uniform.
+The stationary manifold is the steady state of this pseudo-time evolution,
+reached by the pseudo-transient continuation of :mod:`fastslow.steady`; the
+unknowns are the graph values at the nodes that are not held.
 """
 
 from __future__ import annotations
@@ -35,10 +32,10 @@ from .core import ReactionDiffusionModel, SpatialProfile, as_state
 from .errors import (
     BoundaryNodeError,
     ContractViolationError,
-    ConvergenceError,
     DegenerateParametrizationError,
     ParametrizationError,
 )
+from .steady import relax_free
 
 __all__ = [
     "GradientEstimate",
@@ -278,21 +275,9 @@ def _rhs_1d_interior(states, chi, dth, model):
     return out
 
 
-def _node_dt_1d(states, chi, dth, model, safety):
-    """Per-node stable step: diffusion CFL, source bound, advective limit."""
-    J = model.jacobian(states)
-    rho = np.abs(J).sum(axis=-1).max(axis=-1)
-    dmax = float(model.diffusion.max())
-    diff_rate = 2.0 * dmax * chi * chi / (dth * dth)
-    adv_rate = np.abs(model.source(states)[:, 0]) / dth
-    rate = np.maximum(np.maximum(diff_rate, 0.5 * rho), adv_rate)
-    return safety / np.maximum(rate, 1e-300)
-
-
 def evolve_redim_1d(model: ReactionDiffusionModel, anchors, M: int = 101,
-                    grad: GradientEstimate | None = None, tol: float = 1e-8,
-                    safety: float = 0.8, max_steps: int = 2_000_000,
-                    local_dt: bool = True) -> Manifold1D:
+                    grad: GradientEstimate | None = None,
+                    tol: float = 1e-8) -> Manifold1D:
     """Relax the straight-line initial curve to a stationary 1-D manifold.
 
     ``anchors`` are (left_state, right_state); their first components set the
@@ -313,25 +298,10 @@ def evolve_redim_1d(model: ReactionDiffusionModel, anchors, M: int = 101,
     states[-1] = right
     chi = np.asarray(grad.chi1(theta), dtype=float)
 
-    dt = None
-    for nstep in range(max_steps + 1):
-        k1 = _rhs_1d_interior(states, chi, dth, model)
-        if nstep % 50 == 0:
-            residual = float(np.abs(k1[1:-1, 1:]).max())
-            if residual < tol:
-                return Manifold1D(theta_grid=theta, states=states, chi=chi)
-            node_dt = _node_dt_1d(states, chi, dth, model, safety)
-            dt = node_dt[:, None] if local_dt else float(node_dt.min())
-        k2 = _rhs_1d_interior(states + 0.5 * dt * k1, chi, dth, model)
-        k3 = _rhs_1d_interior(states + 0.5 * dt * k2, chi, dth, model)
-        k4 = _rhs_1d_interior(states + dt * k3, chi, dth, model)
-        states = states + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(states)):
-            raise ConvergenceError("1-D manifold relaxation diverged")
-    raise ConvergenceError(
-        f"1-D manifold not stationary after {max_steps} steps",
-        residual=float(np.abs(_rhs_1d_interior(states, chi, dth, model)[1:-1, 1:]).max()),
-    )
+    # interior nodes; theta itself is the graph coordinate and stays put
+    states, _ = relax_free(lambda S: _rhs_1d_interior(S, chi, dth, model), states,
+                           np.s_[1:-1, 1:], (1, model.dimension - 2), tol)
+    return Manifold1D(theta_grid=theta, states=states, chi=chi)
 
 
 def _d1(A, d, axis):
@@ -354,7 +324,7 @@ def _d2(A, d, axis):
     return np.moveaxis(out, 0, axis)
 
 
-def _rhs_2d(Zv, TH1, TH2, C1, C2, d1, d2, model, frozen):
+def _rhs_2d(Zv, TH1, TH2, C1, C2, d1, d2, model):
     z = np.stack([TH1, TH2, Zv], axis=-1)
     Phi = model.source(z)
     Z1 = _d1(Zv, d1, 0)
@@ -364,16 +334,13 @@ def _rhs_2d(Zv, TH1, TH2, C1, C2, d1, d2, model, frozen):
     z12 = _d1(Z1, d2, 1)
     delta = float(model.diffusion[-1])
     LZ = delta * (C1 * C1 * z11 + 2.0 * C1 * C2 * z12 + C2 * C2 * z22)
-    out = (Phi[..., 2] + LZ) - Z1 * Phi[..., 0] - Z2 * Phi[..., 1]
-    out[frozen] = 0.0
-    return out
+    return (Phi[..., 2] + LZ) - Z1 * Phi[..., 0] - Z2 * Phi[..., 1]
 
 
 def evolve_redim_2d(model: ReactionDiffusionModel, theta1_range, theta2_range,
                     M1: int = 61, M2: int = 61,
                     grad: GradientEstimate | None = None, tol: float = 1e-8,
                     initial_z=None, hold: str = "theta1",
-                    safety: float = 0.8, max_steps: int = 2_000_000,
                     anchor_values=(None, None)) -> Manifold2D:
     """Relax Z(theta1, theta2) to a stationary 2-D manifold.
 
@@ -419,35 +386,10 @@ def evolve_redim_2d(model: ReactionDiffusionModel, theta1_range, theta2_range,
     C1 = np.repeat(c1_line[:, None], M2, axis=1)
     C2 = np.repeat(c2_line[:, None], M2, axis=1)
 
-    frozen = np.zeros((M1, M2), dtype=bool)
-    if hold in ("theta1", "all"):
-        frozen[0, :] = frozen[-1, :] = True
-    if hold == "all":
-        frozen[:, 0] = frozen[:, -1] = True
-
-    dt = None
-    for nstep in range(max_steps + 1):
-        k1 = _rhs_2d(Zv, TH1, TH2, C1, C2, d1, d2, model, frozen)
-        if nstep % 50 == 0:
-            residual = float(np.abs(k1[~frozen]).max()) if (~frozen).any() else 0.0
-            if residual < tol:
-                return Manifold2D(theta1_grid=t1, theta2_grid=t2, Z_values=Zv,
-                                  chi1=C1, chi2=C2)
-            z = np.stack([TH1, TH2, Zv], axis=-1)
-            Phi = model.source(z)
-            rho = np.abs(model.jacobian(z)).sum(axis=-1).max(axis=-1)
-            delta = float(model.diffusion[-1])
-            diff_rate = 2.0 * delta * (np.abs(C1) / d1 + np.abs(C2) / d2) ** 2
-            adv_rate = np.abs(Phi[..., 0]) / d1 + np.abs(Phi[..., 1]) / d2
-            rate = np.maximum(np.maximum(diff_rate, rho * 0.5), adv_rate)
-            dt = safety / np.maximum(rate, 1e-300)
-        k2 = _rhs_2d(Zv + 0.5 * dt * k1, TH1, TH2, C1, C2, d1, d2, model, frozen)
-        k3 = _rhs_2d(Zv + 0.5 * dt * k2, TH1, TH2, C1, C2, d1, d2, model, frozen)
-        k4 = _rhs_2d(Zv + dt * k3, TH1, TH2, C1, C2, d1, d2, model, frozen)
-        Zv = Zv + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(Zv)):
-            raise ConvergenceError("2-D manifold relaxation diverged")
-    raise ConvergenceError(
-        f"2-D manifold not stationary after {max_steps} steps",
-        residual=float(np.abs(_rhs_2d(Zv, TH1, TH2, C1, C2, d1, d2, model, frozen)[~frozen]).max()),
-    )
+    free = (slice(None) if hold == "none" else slice(1, -1),
+            slice(1, -1) if hold == "all" else slice(None))
+    # one-sided differences at a free edge reach 3 nodes, central ones 1
+    reach = (3 if hold == "none" else 1, 1 if hold == "all" else 3)
+    Zv, _ = relax_free(lambda Z: _rhs_2d(Z, TH1, TH2, C1, C2, d1, d2, model),
+                       Zv, free, reach, tol)
+    return Manifold2D(theta1_grid=t1, theta2_grid=t2, Z_values=Zv, chi1=C1, chi2=C2)

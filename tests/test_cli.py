@@ -119,7 +119,7 @@ def test_fast_time_subcommand(tmp_path, capsys):
 
 
 def test_pde_solve_non_convergence_exits_3(tmp_path, capsys):
-    cfg = _write_config(tmp_path, {"steady_tol": 0.0, "max_time": 0.1})
+    cfg = _write_config(tmp_path, {"steady_tol": 0.0})
     out = tmp_path / "profile.csv"
     assert main(["pde-solve", "--config", cfg, "--out", str(out)]) == 3
     assert "stationary" in capsys.readouterr().err
