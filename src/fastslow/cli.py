@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -61,7 +62,8 @@ EXIT_DECOMPOSITION = 4
 @dataclass(frozen=True)
 class RunConfig:
     """Flat, documented pipeline configuration; defaults reproduce the
-    built-in enzyme study."""
+    built-in enzyme study.  Node counts and tolerances are checked on
+    construction and raise :class:`ConfigError`."""
 
     model: str = "michaelis-menten"
     model_params: dict = field(default_factory=dict)
@@ -80,9 +82,30 @@ class RunConfig:
     fasttime_start: tuple = (2.0, 0.0, 1.0)
     out_dir: str = "out"
 
+    def __post_init__(self):
+        for key, least in (("nodes", 3), ("mesh_points_per_axis", 1),
+                           ("redim1d_points", 3)):
+            _check_int(key, getattr(self, key), least)
+        points = self.redim2d_points
+        if not isinstance(points, (tuple, list)) or len(points) != 2:
+            raise ConfigError(f"redim2d_points must hold 2 node counts, got {points!r}")
+        for value in points:
+            _check_int("redim2d_points", value, 3)
+        for key in ("steady_tol", "mesh_tol", "redim_tol"):
+            value = getattr(self, key)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not 0.0 <= value < math.inf):
+                raise ConfigError(f"{key} must be a finite number >= 0, got {value!r}")
+
+
+def _check_int(key, value, least) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
+
 
 def load_config(path: str | None) -> RunConfig:
-    """Read a JSON config, rejecting unknown keys."""
+    """Read a JSON config, rejecting unknown keys and bad values before any
+    stage runs."""
     if path is None:
         return RunConfig()
     try:
@@ -96,10 +119,11 @@ def load_config(path: str | None) -> RunConfig:
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    if "redim2d_points" in raw:
-        raw["redim2d_points"] = tuple(raw["redim2d_points"])
-    if "fasttime_start" in raw:
-        raw["fasttime_start"] = tuple(raw["fasttime_start"])
+    for key in ("redim2d_points", "fasttime_start"):
+        if key in raw:
+            if not isinstance(raw[key], list):
+                raise ConfigError(f"{key} must be a list, got {raw[key]!r}")
+            raw[key] = tuple(raw[key])
     try:
         return RunConfig(**raw)
     except TypeError as exc:

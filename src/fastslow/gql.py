@@ -236,8 +236,9 @@ def to_fast_slow_coords(dec: GqlDecomposition, z):
 
 
 def from_fast_slow_coords(dec: GqlDecomposition, U, V) -> np.ndarray:
-    """Inverse of :func:`to_fast_slow_coords`."""
-    return dec.Z_f @ np.atleast_1d(U) + dec.Z_s @ np.atleast_1d(V)
+    """Inverse of :func:`to_fast_slow_coords`; also maps stacks of coordinate
+    rows, ``(m, n_f)`` and ``(m, n_s)``, to an ``(m, n)`` stack of states."""
+    return np.atleast_1d(U) @ dec.Z_f.T + np.atleast_1d(V) @ dec.Z_s.T
 
 
 def decomposed_rhs(dec: GqlDecomposition, model: ReactionDiffusionModel, z):
@@ -246,39 +247,91 @@ def decomposed_rhs(dec: GqlDecomposition, model: ReactionDiffusionModel, z):
     return dec.Zt_f @ phi, dec.Zt_s @ phi
 
 
-def solve_on_fiber(dec: GqlDecomposition, model: ReactionDiffusionModel, V,
-                   U0=None, tol: float = 1e-12, max_iter: int = 60):
-    """Newton-solve the fast residual Zt_f phi = 0 along the fiber of fixed V.
+FIBER_MAX_ITER = 60   # Newton iterations per fibre
+FIBER_HALVINGS = 40   # step halvings per line search
 
-    Returns ``(z, converged)``.  The Jacobian of the reduced system is
-    ``Zt_f J(z) Z_f``; steps are damped by halving when the residual fails
-    to decrease.
+
+def _solve_rows(A, b):
+    """Solve ``A[i] x[i] = b[i]`` for a stack; returns ``(x, ok)``.
+
+    A stack holding one matrix that LAPACK finds singular makes the stacked
+    solve fail as a whole, so such a stack is bisected until each singular
+    matrix stands alone; its row of ``x`` is NaN and its ``ok`` False.
     """
-    V = np.atleast_1d(np.asarray(V, dtype=float))
-    U = np.zeros(dec.n_f) if U0 is None else np.atleast_1d(np.array(U0, dtype=float))
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0], np.ones(len(b), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(b) == 1:
+            return np.full_like(b, np.nan), np.zeros(1, dtype=bool)
+    h = len(b) // 2
+    x1, ok1 = _solve_rows(A[:h], b[:h])
+    x2, ok2 = _solve_rows(A[h:], b[h:])
+    return np.concatenate([x1, x2]), np.concatenate([ok1, ok2])
+
+
+def _fiber_newton(dec: GqlDecomposition, model: ReactionDiffusionModel, V, U0,
+                  tol: float, max_iter: int):
+    """Damped Newton on ``Zt_f phi(z) = 0`` for a stack of fibres at once.
+
+    ``V`` is ``(m, n_s)``; ``U0`` is ``None`` (start at zero) or broadcasts
+    to ``(m, n_f)``.  Each fibre runs its own iteration: it stops once
+    ``|g|_inf < tol``, steps by ``solve(Zt_f J(z) Z_f, -g)`` and halves the
+    step until the residual strictly decreases, at most ``FIBER_HALVINGS``
+    times.  A fibre freezes when it converges, when its line search fails
+    or when its reduced Jacobian is singular.  Only fibres still iterating
+    are evaluated, so every fibre evaluates the same states it would alone.
+    Returns ``(z, converged, singular)``, one row per fibre.
+    """
+    m = V.shape[0]
+    U = np.zeros((m, dec.n_f)) if U0 is None else np.array(
+        np.broadcast_to(U0, (m, dec.n_f)), dtype=float)
     z = from_fast_slow_coords(dec, U, V)
-    g = dec.Zt_f @ eval_source(model, z)
+    g = eval_source(model, z) @ dec.Zt_f.T
+    gnorm = np.abs(g).max(axis=1)
+    live = np.ones(m, dtype=bool)
+    singular = np.zeros(m, dtype=bool)
     for _ in range(max_iter):
-        gnorm = np.abs(g).max()
-        if gnorm < tol:
-            return z, True
-        Jr = dec.Zt_f @ model.jacobian(z) @ dec.Z_f
-        try:
-            dU = np.linalg.solve(Jr, -g)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError("fiber Newton hit a singular reduced Jacobian") from exc
+        live &= ~(gnorm < tol)
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
+            break
+        dU, ok = _solve_rows(dec.Zt_f @ model.jacobian(z[rows]) @ dec.Z_f, -g[rows])
+        singular[rows[~ok]] = True
+        live[rows[~ok]] = False
+        rows, dU = rows[ok], dU[ok]
         step = 1.0
-        for _ in range(40):
-            U_new = U + step * dU
-            z_new = from_fast_slow_coords(dec, U_new, V)
-            g_new = dec.Zt_f @ eval_source(model, z_new)
-            if np.abs(g_new).max() < gnorm:
+        for _ in range(FIBER_HALVINGS):
+            U_new = U[rows] + step * dU
+            z_new = from_fast_slow_coords(dec, U_new, V[rows])
+            g_new = eval_source(model, z_new) @ dec.Zt_f.T
+            gnorm_new = np.abs(g_new).max(axis=1)
+            down = gnorm_new < gnorm[rows]
+            took = rows[down]
+            U[took], z[took], g[took], gnorm[took] = (
+                U_new[down], z_new[down], g_new[down], gnorm_new[down])
+            rows, dU = rows[~down], dU[~down]
+            if rows.size == 0:
                 break
             step *= 0.5
-        else:
-            return z, False
-        U, z, g = U_new, z_new, g_new
-    return z, np.abs(g).max() < tol
+        live[rows] = False  # no halving decreased the residual
+    return z, gnorm < tol, singular
+
+
+def solve_on_fiber(dec: GqlDecomposition, model: ReactionDiffusionModel, V,
+                   U0=None, tol: float = 1e-12, max_iter: int = FIBER_MAX_ITER):
+    """Newton-solve the fast residual Zt_f phi = 0 along the fiber of fixed V.
+
+    Returns ``(z, converged)``.  This is the batched fibre Newton of
+    :func:`slow_manifold_mesh` on a single row: the reduced Jacobian is
+    ``Zt_f J(z) Z_f`` and steps are halved until the residual decreases.
+    Raises :class:`SingularJacobianError` when the reduced Jacobian is
+    singular.
+    """
+    V = np.atleast_1d(np.asarray(V, dtype=float))
+    z, converged, singular = _fiber_newton(dec, model, V[None], U0, tol, max_iter)
+    if singular[0]:
+        raise SingularJacobianError("fiber Newton hit a singular reduced Jacobian")
+    return z[0], bool(converged[0])
 
 
 @dataclass(frozen=True)
@@ -296,7 +349,14 @@ class SlowManifoldMesh:
 
 def slow_manifold_mesh(dec: GqlDecomposition, model: ReactionDiffusionModel,
                        slow_grid, tol: float = 1e-10, U0=None) -> SlowManifoldMesh:
-    """Solve the zero-order manifold condition at each slow-coordinate node."""
+    """Solve the zero-order manifold condition at every slow-coordinate node.
+
+    All fibres go through one batched damped Newton (the iteration of
+    :func:`solve_on_fiber`, started from ``U0`` or zero).  A node whose
+    fibre fails its line search or hits a singular reduced Jacobian is
+    left unconverged; :class:`EmptyMeshError` is raised when the grid is
+    empty or no node converges.
+    """
     V_pts = np.array(slow_grid, dtype=float)
     if V_pts.ndim == 1:
         V_pts = V_pts[:, None]
@@ -304,19 +364,12 @@ def slow_manifold_mesh(dec: GqlDecomposition, model: ReactionDiffusionModel,
         raise ContractViolationError(
             f"slow grid must have {dec.n_s} coordinates per node"
         )
-    m = V_pts.shape[0]
-    states = np.full((m, model.dimension), np.nan)
-    ok = np.zeros(m, dtype=bool)
-    for i in range(m):
-        try:
-            z, conv = solve_on_fiber(dec, model, V_pts[i], U0=U0, tol=tol)
-        except SingularJacobianError:
-            conv = False
-        if conv:
-            states[i] = z
-            ok[i] = True
+    if V_pts.shape[0] == 0:
+        raise EmptyMeshError("slow grid has no nodes")
+    z, ok, _ = _fiber_newton(dec, model, V_pts, U0, tol, FIBER_MAX_ITER)
     if not ok.any():
         raise EmptyMeshError("no slow-manifold grid node converged")
+    states = np.where(ok[:, None], z, np.nan)
     return SlowManifoldMesh(V=V_pts, states=states, converged=ok)
 
 

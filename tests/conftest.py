@@ -6,6 +6,14 @@ so the acceptance suite can assert its runtime budgets against the actual
 computation instead of a cached lookup.
 """
 
+import os
+
+# One BLAS/OpenMP thread, set before numpy is first imported (this conftest
+# is where a test session first imports it): with the default threading the
+# first band LU solves in a fresh process sometimes stall in OpenBLAS.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import time
 from collections import namedtuple
 

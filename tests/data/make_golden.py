@@ -1,14 +1,22 @@
 #!/usr/bin/env python3
-"""Write the steady states of the acceptance configurations to ``golden.npz``.
+"""Write the reference outputs of the acceptance configurations.
 
-The configurations are those of the test fixtures: the stationary profile at
-N = 101, the REDIM-1D at M = 101 and the REDIM-2D at 61 x 61 with the default
-``hold="theta1"``, both with the profile-derived gradient estimate.  The
-committed ``golden.npz`` was written at commit ef248e7, whose three solvers
-were explicit RK4 pseudo-time relaxations; ``tests/test_steady.py`` checks
-that the current solver reaches the same fixed points.
+Without ``--mesh`` it writes the steady states to ``golden.npz``: the
+stationary profile at N = 101, the REDIM-1D at M = 101 and the REDIM-2D at
+61 x 61 with the default ``hold="theta1"``, both with the profile-derived
+gradient estimate.  The committed ``golden.npz`` was written at commit
+ef248e7, whose three solvers were explicit RK4 pseudo-time relaxations;
+``tests/test_steady.py`` checks that the current solver reaches the same
+fixed points.
 
-Usage: PYTHONPATH=src python tests/data/make_golden.py [out.npz]
+With ``--mesh`` it writes the 30/axis zero-order slow-manifold mesh of the
+``mm_mesh`` fixture (``tol=1e-10``, started from the equilibrium's fast
+coordinates) to ``golden_mesh.npz``: ``V``, ``states`` and ``converged``.
+The committed ``golden_mesh.npz`` was written at commit 191001d, which
+solved each fibre with its own scalar Newton loop; ``tests/test_gql.py``
+checks that the batched fibre Newton reaches the same manifold.
+
+Usage: PYTHONPATH=src python tests/data/make_golden.py [--mesh] [out.npz]
 """
 
 import sys
@@ -16,14 +24,19 @@ from pathlib import Path
 
 import numpy as np
 
+from fastslow.gql import (
+    build_surrogate,
+    default_sample_states,
+    default_slow_grid,
+    slow_manifold_mesh,
+    spectral_split,
+)
 from fastslow.models import equilibrium, michaelis_menten_model
 from fastslow.pde import BoundaryConditions, SolverSettings, integrate_to_steady
 from fastslow.redim import evolve_redim_1d, evolve_redim_2d, gradient_estimate_from_profile
 
 
-def main(out):
-    model = michaelis_menten_model()
-    z_eq = equilibrium(model, [1.0, 0.5, 0.5], tol=1e-13)
+def write_steady(out, model, z_eq):
     bc = BoundaryConditions(left_state=z_eq, right_state=np.array([2.0, 0.0, 1.0]))
     profile = integrate_to_steady(model, bc, SolverSettings(node_count=101)).profile
     m1 = evolve_redim_1d(model, (bc.left_state, bc.right_state), M=101,
@@ -34,5 +47,22 @@ def main(out):
     np.savez(out, profile=profile.states, redim1d=m1.states, redim2d=m2.Z_values)
 
 
+def write_mesh(out, model, z_eq):
+    dec = spectral_split(build_surrogate(model, default_sample_states(model, extra=[z_eq])))
+    grid = default_slow_grid(dec, model, points_per_axis=30)
+    mesh = slow_manifold_mesh(dec, model, grid, tol=1e-10, U0=dec.Zt_f @ z_eq)
+    np.savez(out, V=mesh.V, states=mesh.states, converged=mesh.converged)
+
+
+def main(argv):
+    mesh = "--mesh" in argv
+    args = [a for a in argv if a != "--mesh"]
+    name = "golden_mesh.npz" if mesh else "golden.npz"
+    out = args[0] if args else Path(__file__).with_name(name)
+    model = michaelis_menten_model()
+    z_eq = equilibrium(model, [1.0, 0.5, 0.5], tol=1e-13)
+    (write_mesh if mesh else write_steady)(out, model, z_eq)
+
+
 if __name__ == "__main__":
-    main(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).with_name("golden.npz"))
+    main(sys.argv[1:])

@@ -82,6 +82,22 @@ def test_load_config_rejects_bad_json(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("bad, key", [
+    ({"nodes": "51"}, "nodes"),
+    ({"redim2d_points": [5]}, "redim2d_points"),
+    ({"mesh_points_per_axis": "30"}, "mesh_points_per_axis"),
+    ({"mesh_points_per_axis": 0}, "mesh_points_per_axis"),
+], ids=["nodes-string", "redim2d-one-entry", "mesh-points-string", "mesh-points-zero"])
+def test_bad_config_value_exits_2_before_any_stage(tmp_path, capsys, bad, key):
+    cfg = _write_config(tmp_path, bad)
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", cfg, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_pde_solve_roundtrip(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     out = tmp_path / "profile.csv"

@@ -1,16 +1,23 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fastslow.core import ReactionDiffusionModel
 from fastslow.errors import (
     ContractViolationError,
+    EmptyMeshError,
     IllPosedSampleError,
     NoDecompositionError,
+    SingularJacobianError,
 )
 from fastslow.gql import (
     build_surrogate,
     decomposed_rhs,
     default_sample_states,
+    default_slow_grid,
     from_fast_slow_coords,
     slow_manifold_mesh,
     solve_on_fiber,
@@ -18,6 +25,9 @@ from fastslow.gql import (
     to_fast_slow_coords,
 )
 from fastslow.models import linear_model
+
+
+GOLDEN_MESH = Path(__file__).parent / "data" / "golden_mesh.npz"
 
 
 def _random_linear(seed=3, n=3):
@@ -198,13 +208,91 @@ def test_mesh_postcondition(mm_mesh, mm_dec, mm_model):
     assert mesh.converged.sum() > 0.5 * len(mesh.converged)
     for z in mesh.states[mesh.converged]:
         assert np.abs(dec.Zt_f @ mm_model.source(z)).max() < 1e-10
+    # about 10x the batched Newton's time for these 900 fibres
+    assert mm_mesh.seconds < 0.35, f"30/axis mesh took {mm_mesh.seconds:.3f}s"
+
+
+def test_mesh_matches_golden(mm_mesh):
+    """Same manifold as the per-fibre scalar Newton loop that wrote the
+    golden mesh (``tests/data/make_golden.py --mesh``)."""
+    golden = np.load(GOLDEN_MESH)
+    mesh = mm_mesh.value
+    assert np.array_equal(mesh.V, golden["V"])
+    assert np.array_equal(mesh.converged, golden["converged"])
+    ok = golden["converged"]
+    assert np.abs(mesh.states[ok] - golden["states"][ok]).max() <= 1e-12
+    assert np.isnan(mesh.states[~ok]).all()
 
 
 def test_mesh_all_nodes_unreachable(mm_dec, mm_model):
-    from fastslow.errors import EmptyMeshError
     far = np.array([[1e8, 1e8], [-1e8, 1e8]])
     with pytest.raises(EmptyMeshError):
         slow_manifold_mesh(mm_dec.value, mm_model, far, tol=1e-12)
+
+
+def test_mesh_empty_grid_raises(mm_dec, mm_model):
+    grid = default_slow_grid(mm_dec.value, mm_model, points_per_axis=0)
+    assert grid.shape == (0, 2)
+    with pytest.raises(EmptyMeshError):
+        slow_manifold_mesh(mm_dec.value, mm_model, grid)
+
+
+def _three_outcome_model():
+    """Over ``spectral_split(diag(-1, -100))`` the fast coordinate is z2 and
+    the slow one z1.  The fast residual ``-100 e - 50 e^3``, ``e = z2 - z1``,
+    has one root on every fibre, but the supplied Jacobian is exact only for
+    0 <= z1 <= 1.  It is zero (a singular reduced Jacobian) for z1 < 0, and
+    of the wrong sign for z1 > 1, where every step climbs and all halvings
+    fail the line search."""
+    def source(z):
+        e = z[..., 1] - z[..., 0]
+        return np.stack([-z[..., 0], -100.0 * e - 50.0 * e ** 3], axis=-1)
+
+    def jac(z):
+        e = z[..., 1] - z[..., 0]
+        slope = -100.0 - 150.0 * e ** 2
+        slope = np.where(z[..., 0] < 0.0, 0.0, np.where(z[..., 0] > 1.0, -slope, slope))
+        J = np.zeros(z.shape[:-1] + (2, 2))
+        J[..., 0, 0] = -1.0
+        J[..., 1, 0] = -slope
+        J[..., 1, 1] = slope
+        return J
+
+    return ReactionDiffusionModel(name="three-outcome", species=("z1", "z2"),
+                                  source=source, jac=jac, diffusion=np.zeros(2))
+
+
+def test_mesh_failure_paths_match_row_by_row_fibers():
+    dec = spectral_split(np.diag([-1.0, -100.0]))
+    model = _three_outcome_model()
+    grid = np.linspace(-1.0, 2.0, 25)[:, None]
+    mesh = slow_manifold_mesh(dec, model, grid)
+
+    rows, outcomes = [], set()
+    for v in grid:
+        try:
+            z, ok = solve_on_fiber(dec, model, v, tol=1e-10)
+            outcomes.add("converged" if ok else "line search")
+        except SingularJacobianError:
+            ok = False
+            outcomes.add("singular")
+        rows.append(z if ok else np.full(2, np.nan))
+    assert outcomes == {"converged", "line search", "singular"}
+    assert np.array_equal(mesh.converged, (grid[:, 0] >= 0.0) & (grid[:, 0] <= 1.0))
+    np.testing.assert_allclose(mesh.states, np.array(rows), rtol=0.0, atol=1e-14)
+    with pytest.raises(SingularJacobianError):
+        solve_on_fiber(dec, model, grid[0], tol=1e-10)
+
+
+def test_mesh_non_finite_source_raises(mm_dec, mm_model, mm_eq):
+    dec = mm_dec.value
+    nan_model = dataclasses.replace(
+        mm_model,
+        source=lambda z: np.where(z[..., :1] > 1.5, np.nan, mm_model.source(z)),
+    )
+    grid = default_slow_grid(dec, mm_model, points_per_axis=10)
+    with pytest.raises(ContractViolationError):
+        slow_manifold_mesh(dec, nan_model, grid, U0=dec.Zt_f @ mm_eq.value)
 
 
 def test_profile_slow_tail_near_mesh(mm_dec, mm_model, steady_101):
