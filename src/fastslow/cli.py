@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -62,8 +62,9 @@ EXIT_DECOMPOSITION = 4
 @dataclass(frozen=True)
 class RunConfig:
     """Flat, documented pipeline configuration; defaults reproduce the
-    built-in enzyme study.  Node counts and tolerances are checked on
-    construction and raise :class:`ConfigError`."""
+    built-in enzyme study.  Every value is checked on construction, and the
+    model is built to check its name, parameters and dimension; a bad value
+    raises :class:`ConfigError`."""
 
     model: str = "michaelis-menten"
     model_params: dict = field(default_factory=dict)
@@ -92,10 +93,32 @@ class RunConfig:
         for value in points:
             _check_int("redim2d_points", value, 3)
         for key in ("steady_tol", "mesh_tol", "redim_tol"):
-            value = getattr(self, key)
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not 0.0 <= value < math.inf):
-                raise ConfigError(f"{key} must be a finite number >= 0, got {value!r}")
+            _check_number(key, getattr(self, key), lambda v: 0.0 <= v < math.inf,
+                          "a finite number >= 0")
+        _check_number("dt_safety", self.dt_safety, lambda v: 0.0 < v <= 1.0,
+                      "a number in (0, 1]")
+        _check_number("min_gap_ratio", self.min_gap_ratio, lambda v: 1.0 < v < math.inf,
+                      "a finite number > 1")
+        last = self.nodes - 1
+        _check_number("fasttime_x0", self.fasttime_x0,
+                      lambda v: 0.0 < v < 1.0 and 0 < round(v * last) < last,
+                      f"a position in (0, 1) off the boundary nodes of the "
+                      f"{self.nodes}-node grid")
+        if self.gql_mode not in ("least_squares", "exact"):
+            raise ConfigError(f"gql_mode must be 'least_squares' or 'exact', "
+                              f"got {self.gql_mode!r}")
+        if self.redim_grad != "profile" and _constant(str(self.redim_grad)) is None:
+            raise ConfigError(f"redim_grad must be 'profile' or 'const:<value>', "
+                              f"got {self.redim_grad!r}")
+        start = self.fasttime_start
+        if not isinstance(start, (tuple, list)):
+            raise ConfigError(f"fasttime_start must be a list, got {start!r}")
+        for value in start:
+            _check_number("fasttime_start", value, math.isfinite, "a list of finite numbers")
+        dimension = build_model(self).dimension
+        if len(start) != dimension:
+            raise ConfigError(f"fasttime_start needs {dimension} components, one per "
+                              f"species, got {len(start)}")
 
 
 def _check_int(key, value, least) -> None:
@@ -103,22 +126,28 @@ def _check_int(key, value, least) -> None:
         raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
 
 
-def load_config(path: str | None) -> RunConfig:
-    """Read a JSON config, rejecting unknown keys and bad values before any
-    stage runs."""
-    if path is None:
-        return RunConfig()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+def _check_number(key, value, ok, want: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not ok(value):
+        raise ConfigError(f"{key} must be {want}, got {value!r}")
+
+
+def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
+    """Read a JSON config and apply the flag ``overrides``, rejecting unknown
+    keys and bad values before any stage runs."""
+    raw = {}
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
     known = {f.name for f in fields(RunConfig)}
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    raw.update(overrides or {})
     for key in ("redim2d_points", "fasttime_start"):
         if key in raw:
             if not isinstance(raw[key], list):
@@ -131,11 +160,13 @@ def load_config(path: str | None) -> RunConfig:
 
 
 def build_model(config: RunConfig) -> ReactionDiffusionModel:
+    if not isinstance(config.model_params, dict):
+        raise ConfigError(f"model_params must be an object, got {config.model_params!r}")
     if config.model == "michaelis-menten":
         try:
             params = MichaelisMentenParams(**config.model_params)
         except TypeError as exc:
-            raise ConfigError(f"bad michaelis-menten parameters: {exc}") from exc
+            raise ConfigError(f"bad model_params for michaelis-menten: {exc}") from exc
         return michaelis_menten_model(params)
     if config.model == "linear":
         mp = dict(config.model_params)
@@ -147,9 +178,13 @@ def build_model(config: RunConfig) -> ReactionDiffusionModel:
         diffusion = mp.pop("diffusion", None)
         if mp:
             raise ConfigError(f"unknown linear-model parameters: {sorted(mp)}")
-        n = int(round(len(A) ** 0.5)) if not isinstance(A[0], list) else len(A)
-        A = np.reshape(np.asarray(A, dtype=float), (n, n))
-        return linear_model(A, z_star, diffusion=diffusion)
+        try:
+            A = np.asarray(A, dtype=float)
+            if A.ndim == 1:  # the row-major entries of a square matrix
+                A = A.reshape(round(A.size ** 0.5), -1)
+            return linear_model(A, z_star, diffusion=diffusion)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad model_params for the linear model: {exc}") from exc
     raise ConfigError(f"unknown model {config.model!r}")
 
 
@@ -171,7 +206,138 @@ def write_rows_csv(path, header, rows, comment: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# stages: each is one function, called by its subcommand and by the pipeline
+# ---------------------------------------------------------------------------
+
+def _default_guess(model):
+    if model.working_box is not None:
+        lo, hi = model.working_box
+        return 0.5 * (lo + hi)
+    return np.zeros(model.dimension)
+
+
+def run_gql(config: RunConfig, model):
+    """Equilibrium, linear surrogate and fast/slow split."""
+    z_eq = equilibrium(model, _default_guess(model))
+    samples = default_sample_states(model, extra=[z_eq])
+    T = build_surrogate(model, samples, mode=config.gql_mode)
+    dec = spectral_split(T, min_gap_ratio=config.min_gap_ratio)
+    return dec, z_eq
+
+
+def write_gql_report(path, dec, model) -> None:
+    """The GQL report as JSON, written to ``path`` or, if None, to stdout."""
+    report = {
+        "version": __version__,
+        "model": model.name,
+        "params": model.params,
+        "eigenvalues": [{"re": float(v.real), "im": float(v.imag)} for v in dec.eigenvalues],
+        "split_index": dec.split_index,
+        "n_f": dec.n_f,
+        "n_s": dec.n_s,
+        "epsilon": dec.epsilon,
+        "T": [float(v) for v in dec.T.ravel()],
+        "Z": [float(v) for v in dec.Z.ravel()],
+        "Z_tilde": [float(v) for v in dec.Z_tilde.ravel()],
+    }
+    text = json.dumps(report, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def slow_mesh(config: RunConfig, model, dec, z_eq):
+    """The zero-order slow manifold over the default slow-coordinate grid."""
+    grid = default_slow_grid(dec, model, config.mesh_points_per_axis)
+    return slow_manifold_mesh(dec, model, grid, tol=config.mesh_tol, U0=dec.Zt_f @ z_eq)
+
+
+def write_mesh_csv(path, mesh, model) -> None:
+    n_s = mesh.V.shape[1]
+    header = [f"V{k+1}" for k in range(n_s)] + list(model.species)
+    rows = [list(v) + list(s) for v, s, ok in zip(mesh.V, mesh.states, mesh.converged) if ok]
+    write_rows_csv(path, header, rows, provenance(model, "gql-mesh"))
+
+
+def boundary_conditions(config: RunConfig, z_eq) -> BoundaryConditions:
+    """The equilibrium at x = 0 and ``fasttime_start`` at x = 1."""
+    return BoundaryConditions(left_state=z_eq,
+                              right_state=np.asarray(config.fasttime_start, dtype=float))
+
+
+def _solver_settings(config: RunConfig) -> SolverSettings:
+    return SolverSettings(node_count=config.nodes, dt_safety=config.dt_safety,
+                          steady_tol=config.steady_tol)
+
+
+def _constant(spec: str):
+    """The value of a ``const:<value>`` gradient, None for any other spec."""
+    if not spec.startswith("const:"):
+        return None
+    try:
+        return float(spec.split(":", 1)[1])
+    except ValueError as exc:
+        raise ConfigError(f"bad constant gradient {spec!r}") from exc
+
+
+def _gradient(spec: str, profile, dim: int):
+    """The diffusion closure of a ``dim``-D REDIM: constant, or from the profile."""
+    value, mode = _constant(spec), f"{dim}d"
+    if value is None:
+        return gradient_estimate_from_profile(profile, mode)
+    return constant_gradient((value, value) if dim == 2 else value, mode)
+
+
+def write_redim(path, dim: int, config: RunConfig, model, bc, grad) -> None:
+    """Relax the ``dim``-D REDIM anchored at the boundary states and write it."""
+    if dim == 1:
+        m = evolve_redim_1d(model, (bc.left_state, bc.right_state),
+                            M=config.redim1d_points, grad=grad, tol=config.redim_tol)
+        header = ["theta"]
+        rows = [[th] + list(s) for th, s in zip(m.theta_grid, m.states)]
+    else:
+        lo, hi = model.working_box or (np.zeros(model.dimension), np.ones(model.dimension))
+        m = evolve_redim_2d(
+            model,
+            theta1_range=(lo[0], hi[0]),
+            theta2_range=(lo[1], hi[1]),
+            M1=config.redim2d_points[0],
+            M2=config.redim2d_points[1],
+            grad=grad,
+            tol=config.redim_tol,
+            anchor_values=(float(bc.left_state[2]), float(bc.right_state[2])),
+        )
+        header = ["theta1", "theta2"]
+        rows = [[t1, t2, t1, t2, m.Z_values[i, j]]
+                for i, t1 in enumerate(m.theta1_grid) for j, t2 in enumerate(m.theta2_grid)]
+    write_rows_csv(path, header + list(model.species), rows,
+                   provenance(model, f"redim-{dim}d"))
+
+
+FASTTIME_HEADER = ["epsilon", "K", "dist", "t_enter", "bound", "ratio"]
+
+
+def fast_time_rows(config: RunConfig, model, dec, bc, modes, start=None, x0=None) -> list:
+    """One fasttime.csv row per mode: the ODE transient from ``start`` (the
+    right boundary state if None) and the PDE transient tracked at ``x0``
+    (``fasttime_x0`` if None)."""
+    rows = []
+    for mode in modes:
+        if mode == "ode":
+            report = measure_fast_time_ode(dec, model, bc.right_state if start is None else start)
+        else:
+            report = measure_fast_time_pde(
+                dec, model, bc, _solver_settings(config),
+                x0=config.fasttime_x0 if x0 is None else x0)
+        rows.append([report.epsilon, report.K, report.y0_distance,
+                     report.t_enter, report.bound, report.ratio])
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_model(config: RunConfig, args) -> int:
@@ -199,13 +365,6 @@ def cmd_equilibrium(config: RunConfig, args) -> int:
     return 0
 
 
-def _default_guess(model):
-    if model.working_box is not None:
-        lo, hi = model.working_box
-        return 0.5 * (lo + hi)
-    return np.zeros(model.dimension)
-
-
 def _parse_state(text, dimension):
     try:
         vals = [float(tok) for tok in text.split(",")]
@@ -216,69 +375,18 @@ def _parse_state(text, dimension):
     return np.array(vals)
 
 
-def run_gql(config: RunConfig, model):
-    z_eq = equilibrium(model, _default_guess(model))
-    samples = default_sample_states(model, extra=[z_eq])
-    T = build_surrogate(model, samples, mode=config.gql_mode)
-    dec = spectral_split(T, min_gap_ratio=config.min_gap_ratio)
-    return dec, z_eq
-
-
-def gql_report_dict(dec, model) -> dict:
-    return {
-        "version": __version__,
-        "model": model.name,
-        "params": model.params,
-        "eigenvalues": [{"re": float(v.real), "im": float(v.imag)} for v in dec.eigenvalues],
-        "split_index": dec.split_index,
-        "n_f": dec.n_f,
-        "n_s": dec.n_s,
-        "epsilon": dec.epsilon,
-        "T": [float(v) for v in dec.T.ravel()],
-        "Z": [float(v) for v in dec.Z.ravel()],
-        "Z_tilde": [float(v) for v in dec.Z_tilde.ravel()],
-    }
-
-
-def write_mesh_csv(path, mesh, model, comment) -> None:
-    n_s = mesh.V.shape[1]
-    header = [f"V{k+1}" for k in range(n_s)] + list(model.species)
-    rows = [list(v) + list(s) for v, s, ok in zip(mesh.V, mesh.states, mesh.converged) if ok]
-    write_rows_csv(path, header, rows, comment)
-
-
 def cmd_gql(config: RunConfig, args) -> int:
     model = build_model(config)
     dec, z_eq = run_gql(config, model)
-    report = gql_report_dict(dec, model)
-    if args.out_report:
-        with open(args.out_report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-    else:
-        print(json.dumps(report, indent=2))
+    write_gql_report(args.out_report, dec, model)
     if args.out_mesh:
-        grid = default_slow_grid(dec, model, config.mesh_points_per_axis)
-        mesh = slow_manifold_mesh(dec, model, grid, tol=config.mesh_tol,
-                                  U0=dec.Zt_f @ z_eq)
-        write_mesh_csv(args.out_mesh, mesh, model, provenance(model, "gql-mesh"))
+        write_mesh_csv(args.out_mesh, slow_mesh(config, model, dec, z_eq), model)
     return 0
-
-
-def _solver_settings(config: RunConfig) -> SolverSettings:
-    return SolverSettings(node_count=config.nodes, dt_safety=config.dt_safety,
-                          steady_tol=config.steady_tol)
-
-
-def _boundary_conditions(config: RunConfig, model) -> BoundaryConditions:
-    z_eq = equilibrium(model, _default_guess(model))
-    right = np.asarray(config.fasttime_start, dtype=float)
-    return BoundaryConditions(left_state=z_eq, right_state=right)
 
 
 def cmd_pde_solve(config: RunConfig, args) -> int:
     model = build_model(config)
-    bc = _boundary_conditions(config, model)
+    bc = boundary_conditions(config, equilibrium(model, _default_guess(model)))
     result = integrate_to_steady(model, bc, _solver_settings(config))
     write_profile_csv(args.out, result.profile, model.species,
                       provenance(model, "pde-solve"))
@@ -290,92 +398,32 @@ def cmd_pde_solve(config: RunConfig, args) -> int:
     return 0
 
 
-def _gradient_from_spec(spec_text, profile, mode):
-    if spec_text.startswith("const:"):
-        try:
-            value = float(spec_text.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"bad constant gradient {spec_text!r}") from exc
-        return constant_gradient((value, value) if mode == "2d" else value, mode)
-    if profile is None:
-        raise ConfigError("profile-derived gradient needs a stationary profile")
-    return gradient_estimate_from_profile(profile, mode)
-
-
 def cmd_redim(config: RunConfig, args) -> int:
     model = build_model(config)
-    bc = _boundary_conditions(config, model)
-    if args.grad and args.grad.startswith("const:"):
+    bc = boundary_conditions(config, equilibrium(model, _default_guess(model)))
+    spec = args.grad or config.redim_grad
+    if spec.startswith("const:"):
         profile = None
-    elif args.grad and args.grad != "profile":
-        profile = read_profile_csv(args.grad)
-    else:
+    elif spec == "profile":
         profile = integrate_to_steady(model, bc, _solver_settings(config)).profile
-    mode = "1d" if args.dim == 1 else "2d"
-    grad = _gradient_from_spec(args.grad or "profile", profile, mode)
-    if args.dim == 1:
-        manifold = evolve_redim_1d(model, (bc.left_state, bc.right_state),
-                                   M=config.redim1d_points, grad=grad,
-                                   tol=config.redim_tol)
-        rows = [[th] + list(s) for th, s in zip(manifold.theta_grid, manifold.states)]
-        write_rows_csv(args.out, ["theta"] + list(model.species), rows,
-                       provenance(model, "redim-1d"))
     else:
-        manifold = _run_redim2d(config, model, grad, bc)
-        rows = _manifold2d_rows(manifold)
-        write_rows_csv(args.out, ["theta1", "theta2"] + list(model.species), rows,
-                       provenance(model, "redim-2d"))
+        profile = read_profile_csv(spec)
+    write_redim(args.out, args.dim, config, model, bc, _gradient(spec, profile, args.dim))
     print(f"manifold written to {args.out}")
     return 0
 
 
-def _run_redim2d(config: RunConfig, model, grad, bc):
-    lo = model.working_box[0] if model.working_box else np.zeros(model.dimension)
-    hi = model.working_box[1] if model.working_box else np.ones(model.dimension)
-    return evolve_redim_2d(
-        model,
-        theta1_range=(lo[0], hi[0]),
-        theta2_range=(lo[1], hi[1]),
-        M1=config.redim2d_points[0],
-        M2=config.redim2d_points[1],
-        grad=grad,
-        tol=config.redim_tol,
-        anchor_values=(float(bc.left_state[2]), float(bc.right_state[2])),
-    )
-
-
-def _manifold2d_rows(manifold):
-    rows = []
-    for i, t1 in enumerate(manifold.theta1_grid):
-        for j, t2 in enumerate(manifold.theta2_grid):
-            rows.append([t1, t2, t1, t2, manifold.Z_values[i, j]])
-    return rows
-
-
-FASTTIME_HEADER = ["epsilon", "K", "dist", "t_enter", "bound", "ratio"]
-
-
-def _fasttime_row(report):
-    return [report.epsilon, report.K, report.y0_distance,
-            report.t_enter, report.bound, report.ratio]
-
-
 def cmd_fast_time(config: RunConfig, args) -> int:
     model = build_model(config)
-    dec, _ = run_gql(config, model)
-    if args.mode == "ode":
-        z0 = _parse_state(args.start, model.dimension) if args.start \
-            else np.asarray(config.fasttime_start, dtype=float)
-        report = measure_fast_time_ode(dec, model, z0)
-    else:
-        bc = _boundary_conditions(config, model)
-        report = measure_fast_time_pde(dec, model, bc, _solver_settings(config),
-                                       x0=args.x0 if args.x0 is not None else config.fasttime_x0)
+    start = _parse_state(args.start, model.dimension) if args.start else None
+    dec, z_eq = run_gql(config, model)
+    rows = fast_time_rows(config, model, dec, boundary_conditions(config, z_eq),
+                          [args.mode], start=start, x0=args.x0)
     if args.out:
-        write_rows_csv(args.out, FASTTIME_HEADER, [_fasttime_row(report)],
+        write_rows_csv(args.out, FASTTIME_HEADER, rows,
                        provenance(model, f"fast-time-{args.mode}"))
     print(",".join(FASTTIME_HEADER))
-    print(",".join(_fmt(v) for v in _fasttime_row(report)))
+    print(",".join(_fmt(v) for v in rows[0]))
     return 0
 
 
@@ -389,63 +437,34 @@ def run_pipeline(config: RunConfig, out_dir: str | None = None) -> dict:
     Returns a dict of artifact paths.  Raises with the failing stage named;
     artifacts of completed stages are left in place.
     """
+    model = build_model(config)
     out = out_dir or config.out_dir
     os.makedirs(out, exist_ok=True)
-    paths = {}
-    model = build_model(config)
+    paths = {name: os.path.join(out, name + ext) for name, ext in (
+        ("gql_report", ".json"), ("slow_manifold", ".csv"), ("stationary_profile", ".csv"),
+        ("redim1d", ".csv"), ("redim2d", ".csv"), ("fasttime", ".csv"))}
 
     stage = "gql"
     try:
         dec, z_eq = run_gql(config, model)
-        path = os.path.join(out, "gql_report.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(gql_report_dict(dec, model), fh, indent=2)
-            fh.write("\n")
-        paths["gql_report"] = path
-
-        grid = default_slow_grid(dec, model, config.mesh_points_per_axis)
-        mesh = slow_manifold_mesh(dec, model, grid, tol=config.mesh_tol,
-                                  U0=dec.Zt_f @ z_eq)
-        path = os.path.join(out, "slow_manifold.csv")
-        write_mesh_csv(path, mesh, model, provenance(model, "gql-mesh"))
-        paths["slow_manifold"] = path
+        write_gql_report(paths["gql_report"], dec, model)
+        write_mesh_csv(paths["slow_manifold"], slow_mesh(config, model, dec, z_eq), model)
 
         stage = "pde"
-        bc = BoundaryConditions(left_state=z_eq,
-                                right_state=np.asarray(config.fasttime_start, dtype=float))
-        settings = _solver_settings(config)
-        steady = integrate_to_steady(model, bc, settings)
-        path = os.path.join(out, "stationary_profile.csv")
-        write_profile_csv(path, steady.profile, model.species, provenance(model, "pde"))
-        paths["stationary_profile"] = path
+        bc = boundary_conditions(config, z_eq)
+        profile = integrate_to_steady(model, bc, _solver_settings(config)).profile
+        write_profile_csv(paths["stationary_profile"], profile, model.species,
+                          provenance(model, "pde"))
 
-        stage = "redim-1d"
-        grad1 = _gradient_from_spec(config.redim_grad, steady.profile, "1d")
-        m1 = evolve_redim_1d(model, (bc.left_state, bc.right_state),
-                             M=config.redim1d_points, grad=grad1, tol=config.redim_tol)
-        path = os.path.join(out, "redim1d.csv")
-        rows = [[th] + list(s) for th, s in zip(m1.theta_grid, m1.states)]
-        write_rows_csv(path, ["theta"] + list(model.species), rows,
-                       provenance(model, "redim-1d"))
-        paths["redim1d"] = path
-
-        stage = "redim-2d"
-        grad2 = _gradient_from_spec(config.redim_grad, steady.profile, "2d")
-        m2 = _run_redim2d(config, model, grad2, bc)
-        path = os.path.join(out, "redim2d.csv")
-        write_rows_csv(path, ["theta1", "theta2"] + list(model.species),
-                       _manifold2d_rows(m2), provenance(model, "redim-2d"))
-        paths["redim2d"] = path
+        for dim in (1, 2):
+            stage = f"redim-{dim}d"
+            write_redim(paths[f"redim{dim}d"], dim, config, model, bc,
+                        _gradient(config.redim_grad, profile, dim))
 
         stage = "fast-time"
-        rep_ode = measure_fast_time_ode(dec, model,
-                                        np.asarray(config.fasttime_start, dtype=float))
-        rep_pde = measure_fast_time_pde(dec, model, bc, settings, x0=config.fasttime_x0)
-        path = os.path.join(out, "fasttime.csv")
-        write_rows_csv(path, FASTTIME_HEADER,
-                       [_fasttime_row(rep_ode), _fasttime_row(rep_pde)],
+        write_rows_csv(paths["fasttime"], FASTTIME_HEADER,
+                       fast_time_rows(config, model, dec, bc, ("ode", "pde")),
                        provenance(model, "fast-time (rows: ode, pde)"))
-        paths["fasttime"] = path
     except FastSlowError as exc:
         raise type(exc)(f"[stage {stage}] {exc}") from exc
     return paths
@@ -526,7 +545,7 @@ COMMANDS = {
 }
 
 
-def _apply_flag_overrides(config: RunConfig, args) -> RunConfig:
+def _flag_overrides(args) -> dict:
     updates = {}
     if getattr(args, "model", None):
         updates["model"] = args.model
@@ -534,17 +553,16 @@ def _apply_flag_overrides(config: RunConfig, args) -> RunConfig:
         updates["nodes"] = args.nodes
     if getattr(args, "tol", None) and args.command == "pde-solve":
         updates["steady_tol"] = args.tol
-    return replace(config, **updates) if updates else config
+    return updates
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(getattr(args, "config", None))
-        config = _apply_flag_overrides(config, args)
+        config = load_config(getattr(args, "config", None), _flag_overrides(args))
         return COMMANDS[args.command](config, args)
-    except (ConfigError, ContractViolationError) as exc:
+    except (ConfigError, ContractViolationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

@@ -165,11 +165,17 @@ def eval_full_rhs(model: ReactionDiffusionModel, profile: SpatialProfile, node_i
     return eval_source(model, S[node_index]) + model.diffusion * lap
 
 
+def interior_terms(model: ReactionDiffusionModel, states: np.ndarray, dx: float):
+    """Source and diffusion ``D Lap`` on all interior nodes, as two arrays."""
+    lap = (states[:-2] - 2.0 * states[1:-1] + states[2:]) / (dx * dx)
+    return model.source(states[1:-1]), model.diffusion * lap
+
+
 def interior_full_rhs(model: ReactionDiffusionModel, states: np.ndarray, dx: float) -> np.ndarray:
     """Vectorized full RHS on all interior nodes; boundary rows are zero."""
     out = np.zeros_like(states)
-    lap = (states[:-2] - 2.0 * states[1:-1] + states[2:]) / (dx * dx)
-    out[1:-1] = model.source(states[1:-1]) + model.diffusion * lap
+    source, transport = interior_terms(model, states, dx)
+    out[1:-1] = source + transport
     return out
 
 
@@ -191,14 +197,13 @@ def write_profile_csv(path, profile: SpatialProfile, species, comment: str = "")
 
 def read_profile_csv(path) -> SpatialProfile:
     """Read a profile CSV written by :func:`write_profile_csv`."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("x,"):
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
-    data = np.array(rows, dtype=float)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh]
+        data = np.array([[float(tok) for tok in line.split(",")] for line in lines
+                         if line and not line.startswith(("#", "x,"))], dtype=float)
+    except ValueError as exc:  # undecodable text, a non-numeric cell or a ragged row
+        raise ContractViolationError(f"profile CSV {path} is malformed: {exc}") from exc
     if data.ndim != 2 or data.shape[0] < 3:
         raise ContractViolationError(f"profile CSV {path} is malformed")
     return SpatialProfile(Grid1D(data.shape[0]), data[:, 1:])

@@ -28,7 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid1D, ReactionDiffusionModel, as_state, eval_source, interior_full_rhs
+from .core import (
+    Grid1D,
+    ReactionDiffusionModel,
+    as_state,
+    eval_source,
+    interior_full_rhs,
+    interior_terms,
+)
 from .errors import ContractViolationError, ConvergenceError
 from .gql import GqlDecomposition, solve_on_fiber
 from .pde import BoundaryConditions, SolverSettings, linear_initial_profile, stable_dt
@@ -149,12 +156,12 @@ def measure_fast_time_ode(dec: GqlDecomposition, model: ReactionDiffusionModel,
     return _report(dec, t, dist, 0.0, path)
 
 
-def _transport_ratio_max(dec, model, states, dx):
-    """max over interior nodes outside the slow neighborhood of
-    |Zt_f L| / |Zt_f phi| (scale free)."""
-    lap = (states[:-2] - 2.0 * states[1:-1] + states[2:]) / (dx * dx)
-    Lf = (model.diffusion * lap) @ dec.Zt_f.T
-    gf = model.source(states[1:-1]) @ dec.Zt_f.T
+def _transport_ratio_max(dec, source, transport):
+    """max over the interior nodes outside the slow neighborhood of
+    |Zt_f L| / |Zt_f phi| (scale free), from the interior source phi and
+    transport L = D Lap of :func:`interior_terms`."""
+    Lf = transport @ dec.Zt_f.T
+    gf = source @ dec.Zt_f.T
     gn = np.linalg.norm(gf, axis=1)
     outside = gn / dec.fast_rate >= np.sqrt(dec.epsilon)
     if not outside.any():
@@ -169,7 +176,8 @@ def estimate_K(dec: GqlDecomposition, model: ReactionDiffusionModel,
     0 if no sampled state lies outside the slow neighborhood."""
     K = 0.0
     for snap in profile_snapshots:
-        K = max(K, _transport_ratio_max(dec, model, snap.states, snap.grid.spacing))
+        terms = interior_terms(model, snap.states, snap.grid.spacing)
+        K = max(K, _transport_ratio_max(dec, *terms))
     return K
 
 
@@ -209,8 +217,11 @@ def measure_fast_time_pde(dec: GqlDecomposition, model: ReactionDiffusionModel,
             raise ConvergenceError(
                 f"tracked node did not enter the slow neighborhood by t = {max_time:g}"
             )
-        K = max(K, _transport_ratio_max(dec, model, states, dx))
-        k1 = interior_full_rhs(model, states, dx)
+        # one source evaluation serves both K and the first RK4 stage
+        source, transport = interior_terms(model, states, dx)
+        K = max(K, _transport_ratio_max(dec, source, transport))
+        k1 = np.zeros_like(states)
+        k1[1:-1] = source + transport
         k2 = interior_full_rhs(model, states + (0.5 * dt) * k1, dx)
         k3 = interior_full_rhs(model, states + (0.5 * dt) * k2, dx)
         k4 = interior_full_rhs(model, states + dt * k3, dx)

@@ -112,8 +112,11 @@ def linear_model(A, z_star, diffusion=None, name: str = "linear") -> ReactionDif
     eig = np.linalg.eigvals(A)
     if np.any(np.abs(eig.real) < 1e-14):
         raise ContractViolationError("A must have no eigenvalue with zero real part")
-    if diffusion is None:
-        diffusion = np.zeros(n)
+    diffusion = np.zeros(n) if diffusion is None else np.asarray(diffusion, dtype=float)
+    if diffusion.shape != (n,):
+        raise ContractViolationError(
+            f"diffusion needs {n} coefficients, got shape {diffusion.shape}"
+        )
 
     def source(z):
         return (np.asarray(z, dtype=float) - z_star) @ A.T

@@ -360,6 +360,10 @@ def evolve_redim_2d(model: ReactionDiffusionModel, theta1_range, theta2_range,
     """
     if hold not in ("theta1", "all", "none"):
         raise ContractViolationError(f"unknown hold mode {hold!r}")
+    if model.dimension != 3:
+        raise ContractViolationError(
+            f"the 2-D REDIM is a graph Z(X, Y) of 3 species; model has {model.dimension}"
+        )
     t1 = np.linspace(theta1_range[0], theta1_range[1], M1)
     t2 = np.linspace(theta2_range[0], theta2_range[1], M2)
     d1 = float(t1[1] - t1[0])

@@ -87,7 +87,19 @@ def test_load_config_rejects_bad_json(tmp_path):
     ({"redim2d_points": [5]}, "redim2d_points"),
     ({"mesh_points_per_axis": "30"}, "mesh_points_per_axis"),
     ({"mesh_points_per_axis": 0}, "mesh_points_per_axis"),
-], ids=["nodes-string", "redim2d-one-entry", "mesh-points-string", "mesh-points-zero"])
+    ({"dt_safety": 2}, "dt_safety"),
+    ({"fasttime_start": [1, 2]}, "fasttime_start"),
+    ({"fasttime_x0": 1.5}, "fasttime_x0"),
+    ({"fasttime_x0": 0.001}, "fasttime_x0"),
+    ({"min_gap_ratio": 0.5}, "min_gap_ratio"),
+    ({"model": "nope"}, "model"),
+    ({"model_params": {"L1": "a"}}, "model_params"),
+    ({"gql_mode": "nope"}, "gql_mode"),
+    ({"redim_grad": "nope"}, "redim_grad"),
+], ids=["nodes-string", "redim2d-one-entry", "mesh-points-string", "mesh-points-zero",
+        "dt-safety-above-1", "fasttime-start-length", "fasttime-x0-outside",
+        "fasttime-x0-boundary-node", "min-gap-ratio-below-1", "model-unknown",
+        "model-params-string", "gql-mode-unknown", "redim-grad-unknown"])
 def test_bad_config_value_exits_2_before_any_stage(tmp_path, capsys, bad, key):
     cfg = _write_config(tmp_path, bad)
     out = tmp_path / "out"
@@ -96,6 +108,60 @@ def test_bad_config_value_exits_2_before_any_stage(tmp_path, capsys, bad, key):
     assert err.startswith("error: ") and key in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+LINEAR4 = {"model": "linear", "fasttime_start": [2.0, 0.0, 1.0, 0.0],
+           "model_params": {"A": np.diag([-1.0, -2.0, -3.0, -4.0]).tolist(),
+                            "z_star": [1.0, 1.0, 1.0, 1.0], "diffusion": [0.1] * 4}}
+
+
+@pytest.mark.parametrize("argv, extra, csv", [
+    (["redim", "--dim", "1", "--grad", "missing.csv"], None, None),
+    (["redim", "--dim", "1", "--grad", "bad.csv"], None, "x,X,Y,Z\n0,1,2,3\n0.5,a,2,3\n1,1,2,3\n"),
+    (["redim", "--dim", "2", "--grad", "const:1.0"], LINEAR4, None),
+    (["model"], {"model": "linear", "model_params": {"A": 5, "z_star": [1.0]}}, None),
+    (["model"], {"model": "linear", "model_params": {"A": [[1, 2], [3]], "z_star": [1, 1]}},
+     None),
+], ids=["grad-file-missing", "grad-file-non-numeric", "redim2d-four-species",
+        "linear-a-scalar", "linear-a-ragged"])
+def test_bad_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys, argv, extra, csv):
+    monkeypatch.chdir(tmp_path)
+    if csv:
+        (tmp_path / "bad.csv").write_text(csv)
+    args = argv + ["--config", _write_config(tmp_path, extra)]
+    if argv[0] == "redim":
+        args += ["--out", "out.csv"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_subcommands_write_the_pipeline_artifacts(tmp_path):
+    """Each subcommand writes its stage's pipeline artifact: equal after the
+    provenance line, and the fast-time rows equal the pipeline's rows."""
+    cfg = _write_config(tmp_path)
+    paths = run_pipeline(load_config(cfg), str(tmp_path / "pipe"))
+
+    def body(path, skip=1):
+        return open(path).read().splitlines()[skip:]
+
+    report, mesh = tmp_path / "gql.json", tmp_path / "mesh.csv"
+    assert main(["gql", "--config", cfg, "--out-report", str(report),
+                 "--out-mesh", str(mesh)]) == 0
+    assert body(report, 0) == body(paths["gql_report"], 0)
+    assert body(mesh) == body(paths["slow_manifold"])
+    profile = tmp_path / "profile.csv"
+    assert main(["pde-solve", "--config", cfg, "--out", str(profile)]) == 0
+    assert body(profile) == body(paths["stationary_profile"])
+    for dim in (1, 2):
+        out = tmp_path / f"redim{dim}d.csv"
+        assert main(["redim", "--config", cfg, "--dim", str(dim), "--out", str(out)]) == 0
+        assert body(out) == body(paths[f"redim{dim}d"])
+    rows = body(paths["fasttime"])
+    for mode, row in (("ode", rows[1]), ("pde", rows[2])):
+        out = tmp_path / f"fasttime-{mode}.csv"
+        assert main(["fast-time", "--config", cfg, "--mode", mode, "--out", str(out)]) == 0
+        assert body(out) == [rows[0], row]
 
 
 def test_pde_solve_roundtrip(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,30 @@ def test_pde_node_inside_diffusion_layer_never_enters(mm_dec, mm_model, mm_bc):
     with pytest.raises(ConvergenceError):
         measure_fast_time_pde(mm_dec.value, mm_model, mm_bc, SolverSettings(),
                               x0=0.9, max_time=5.0)
+
+
+def test_pde_evaluates_the_source_once_per_rk4_stage(mm_dec, mm_model, mm_bc):
+    """Each step evaluates the N - 2 interior nodes once per RK4 stage (the
+    first stage's evaluation also gives K) and the tracked node once for
+    the entry test: 4 (N - 2) + 1 source states."""
+    calls = []
+
+    def source(z):
+        calls.append(int(np.prod(np.shape(z)[:-1])))
+        return mm_model.source(z)
+
+    counted = dataclasses.replace(mm_model, source=source)
+    N = 21
+    report = measure_fast_time_pde(mm_dec.value, counted, mm_bc,
+                                   SolverSettings(node_count=N), x0=0.5)
+    steps = calls.count(N - 2) // 4
+    assert steps > 0 and report.K > 0.0
+    # the start is tested once before the loop, then each step is entry
+    # test + four stages, and a last entry test ends the loop
+    end = 2 + 5 * steps
+    assert calls[:end] == [1] + ([1] + [N - 2] * 4) * steps + [1]
+    assert sum(calls[1:end - 1]) == steps * (4 * (N - 2) + 1)
+    assert N - 2 not in calls[end:]  # the fibre anchor evaluates single states
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,13 @@ def test_linear_model_rejects_zero_real_part():
         linear_model(np.array([[0.0, 1.0], [-1.0, 0.0]]), [0.0, 0.0])
 
 
+def test_linear_model_rejects_diffusion_of_wrong_length():
+    A = np.array([[-1.0, 0.0], [0.0, -2.0]])
+    with pytest.raises(ContractViolationError, match="diffusion needs 2"):
+        linear_model(A, [1.0, 1.0], diffusion=[1.0])
+    assert linear_model(A, [1.0, 1.0], diffusion=[1.0, 0.5]).dimension == 2
+
+
 def test_equilibrium_jacobian_is_stable():
     m = michaelis_menten_model()
     z = equilibrium(m, [1.0, 0.5, 0.5])
