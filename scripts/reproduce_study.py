@@ -26,7 +26,8 @@ def main():
     paths = run_pipeline(config)
     wall = time.perf_counter() - t0
 
-    report = json.load(open(paths["gql_report"]))
+    with open(paths["gql_report"], encoding="utf-8") as fh:
+        report = json.load(fh)
     mags = sorted(float(np.hypot(e["re"], e["im"])) for e in report["eigenvalues"])
     print(f"artifacts in {out_dir}/ ({wall:.1f}s)")
     print("  eigenvalue magnitudes: " + ", ".join(f"{m:.6g}" for m in mags))

@@ -70,9 +70,7 @@ class RunConfig:
     model_params: dict = field(default_factory=dict)
     nodes: int = 101
     steady_tol: float = 1e-8
-    dt_safety: float = 0.8
     min_gap_ratio: float = 10.0
-    gql_mode: str = "least_squares"
     mesh_points_per_axis: int = 30
     mesh_tol: float = 1e-10
     redim1d_points: int = 101
@@ -95,8 +93,6 @@ class RunConfig:
         for key in ("steady_tol", "mesh_tol", "redim_tol"):
             _check_number(key, getattr(self, key), lambda v: 0.0 <= v < math.inf,
                           "a finite number >= 0")
-        _check_number("dt_safety", self.dt_safety, lambda v: 0.0 < v <= 1.0,
-                      "a number in (0, 1]")
         _check_number("min_gap_ratio", self.min_gap_ratio, lambda v: 1.0 < v < math.inf,
                       "a finite number > 1")
         last = self.nodes - 1
@@ -104,9 +100,6 @@ class RunConfig:
                       lambda v: 0.0 < v < 1.0 and 0 < round(v * last) < last,
                       f"a position in (0, 1) off the boundary nodes of the "
                       f"{self.nodes}-node grid")
-        if self.gql_mode not in ("least_squares", "exact"):
-            raise ConfigError(f"gql_mode must be 'least_squares' or 'exact', "
-                              f"got {self.gql_mode!r}")
         if self.redim_grad != "profile" and _constant(str(self.redim_grad)) is None:
             raise ConfigError(f"redim_grad must be 'profile' or 'const:<value>', "
                               f"got {self.redim_grad!r}")
@@ -220,7 +213,7 @@ def run_gql(config: RunConfig, model):
     """Equilibrium, linear surrogate and fast/slow split."""
     z_eq = equilibrium(model, _default_guess(model))
     samples = default_sample_states(model, extra=[z_eq])
-    T = build_surrogate(model, samples, mode=config.gql_mode)
+    T = build_surrogate(model, samples)
     dec = spectral_split(T, min_gap_ratio=config.min_gap_ratio)
     return dec, z_eq
 
@@ -268,8 +261,7 @@ def boundary_conditions(config: RunConfig, z_eq) -> BoundaryConditions:
 
 
 def _solver_settings(config: RunConfig) -> SolverSettings:
-    return SolverSettings(node_count=config.nodes, dt_safety=config.dt_safety,
-                          steady_tol=config.steady_tol)
+    return SolverSettings(node_count=config.nodes, steady_tol=config.steady_tol)
 
 
 def _constant(spec: str):
@@ -438,6 +430,9 @@ def run_pipeline(config: RunConfig, out_dir: str | None = None) -> dict:
     artifacts of completed stages are left in place.
     """
     model = build_model(config)
+    if model.working_box is None:
+        raise ConfigError(f"model {model.name} declares no working box, "
+                          f"which the gql stage samples")
     out = out_dir or config.out_dir
     os.makedirs(out, exist_ok=True)
     paths = {name: os.path.join(out, name + ext) for name, ext in (
@@ -466,7 +461,8 @@ def run_pipeline(config: RunConfig, out_dir: str | None = None) -> dict:
                        fast_time_rows(config, model, dec, bc, ("ode", "pde")),
                        provenance(model, "fast-time (rows: ode, pde)"))
     except FastSlowError as exc:
-        raise type(exc)(f"[stage {stage}] {exc}") from exc
+        exc.args = (f"[stage {stage}] {exc}",)  # the same error, so its fields stay
+        raise
     return paths
 
 

@@ -38,7 +38,7 @@ from .core import (
 )
 from .errors import ContractViolationError, ConvergenceError
 from .gql import GqlDecomposition, solve_on_fiber
-from .pde import BoundaryConditions, SolverSettings, linear_initial_profile, stable_dt
+from .pde import BoundaryConditions, SolverSettings, linear_initial_profile
 
 __all__ = [
     "FastTimeReport",
@@ -97,6 +97,55 @@ def _check_dt(dec: GqlDecomposition, dt: float) -> None:
         )
 
 
+DT_SAFETY = 0.8   # fraction of the explicit stability limit of the PDE step
+
+
+def _stable_dt(model: ReactionDiffusionModel, states, dx: float) -> float:
+    """Step of the explicit PDE transient: DT_SAFETY * min(dx^2/(2 max D),
+    2/rho), rho the Gershgorin row-sum bound on the source Jacobian over
+    all nodes."""
+    dmax = float(model.diffusion.max())
+    diff_limit = dx * dx / (2.0 * dmax) if dmax > 0.0 else np.inf
+    rho = float(np.abs(model.jacobian(states)).sum(axis=-1).max())
+    src_limit = 2.0 / rho if rho > 0.0 else np.inf
+    return DT_SAFETY * min(diff_limit, src_limit)
+
+
+def _entry_time(dec, model, rhs, first, y, track, dt, max_time, dt_cap=None):
+    """RK4-integrate dy/dt = rhs(y) until ``y[track]`` enters the slow
+    neighborhood; returns the model time, K and the fast-coordinate path.
+
+    ``first(y)`` gives the first RK4 stage together with a K sample, so one
+    source evaluation can serve both.  The default ``dt`` is
+    :func:`_default_dt`, capped by ``dt_cap(y)`` when given.
+    """
+    if slow_neighborhood_test(dec, model, y[track]):
+        raise ContractViolationError("the start state already lies in the slow neighborhood")
+    if dt is None:
+        dt = _default_dt(dec) if dt_cap is None else min(_default_dt(dec), dt_cap(y))
+    _check_dt(dec, dt)
+    if max_time is None:
+        max_time = 200.0 / dec.fast_rate
+    t = K = path = 0.0
+    U_prev = dec.Zt_f @ y[track]
+    while not slow_neighborhood_test(dec, model, y[track]):
+        if t > max_time:
+            raise ConvergenceError(
+                f"tracked state did not enter the slow neighborhood by t = {max_time:g}"
+            )
+        k1, K_sample = first(y)
+        K = max(K, K_sample)
+        k2 = rhs(y + (0.5 * dt) * k1)
+        k3 = rhs(y + (0.5 * dt) * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        U = dec.Zt_f @ y[track]
+        path += float(np.linalg.norm(U - U_prev))
+        U_prev = U
+        t += dt
+    return t, K, path
+
+
 def _fiber_anchor(dec, model, z0):
     """Intersection of the fast fiber through z0 with the zero-order manifold."""
     U0, V0 = dec.Zt_f @ z0, dec.Zt_s @ z0
@@ -127,33 +176,11 @@ def measure_fast_time_ode(dec: GqlDecomposition, model: ReactionDiffusionModel,
                           z0, dt: float | None = None,
                           max_time: float | None = None) -> FastTimeReport:
     """Integrate dz/dt = phi(z) and time the entry into the slow neighborhood."""
-    z = np.array(as_state(z0, model.dimension))
-    if slow_neighborhood_test(dec, model, z):
-        raise ContractViolationError("z0 already lies in the slow neighborhood")
-    if dt is None:
-        dt = _default_dt(dec)
-    _check_dt(dec, dt)
-    if max_time is None:
-        max_time = 200.0 / dec.fast_rate
-    t = 0.0
-    path = 0.0
-    U_prev = dec.Zt_f @ z
-    while not slow_neighborhood_test(dec, model, z):
-        if t > max_time:
-            raise ConvergenceError(
-                f"trajectory did not enter the slow neighborhood by t = {max_time:g}"
-            )
-        k1 = model.source(z)
-        k2 = model.source(z + 0.5 * dt * k1)
-        k3 = model.source(z + 0.5 * dt * k2)
-        k4 = model.source(z + dt * k3)
-        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        U = dec.Zt_f @ z
-        path += float(np.linalg.norm(U - U_prev))
-        U_prev = U
-        t += dt
-    _, dist = _fiber_anchor(dec, model, np.asarray(z0, dtype=float))
-    return _report(dec, t, dist, 0.0, path)
+    z = as_state(z0, model.dimension)
+    t, K, path = _entry_time(dec, model, model.source, lambda y: (model.source(y), 0.0),
+                             z, ..., dt, max_time)
+    _, dist = _fiber_anchor(dec, model, z)
+    return _report(dec, t, dist, K, path)
 
 
 def _transport_ratio_max(dec, source, transport):
@@ -196,39 +223,18 @@ def measure_fast_time_pde(dec: GqlDecomposition, model: ReactionDiffusionModel,
         raise ContractViolationError(
             "x0 falls on a Dirichlet-held boundary node"
         )
-    profile = linear_initial_profile(bc.left_state, bc.right_state, grid)
-    states = np.array(profile.states)
+    states = linear_initial_profile(bc.left_state, bc.right_state, grid).states
     dx = grid.spacing
-    z0 = states[i0].copy()
-    if slow_neighborhood_test(dec, model, z0):
-        raise ContractViolationError("state at x0 already lies in the slow neighborhood")
-    if dt is None:
-        dt = min(_default_dt(dec),
-                 stable_dt(model, profile, safety=settings.dt_safety))
-    _check_dt(dec, dt)
-    if max_time is None:
-        max_time = 200.0 / dec.fast_rate
-    t = 0.0
-    K = 0.0
-    path = 0.0
-    U_prev = dec.Zt_f @ z0
-    while not slow_neighborhood_test(dec, model, states[i0]):
-        if t > max_time:
-            raise ConvergenceError(
-                f"tracked node did not enter the slow neighborhood by t = {max_time:g}"
-            )
+
+    def first(S):
         # one source evaluation serves both K and the first RK4 stage
-        source, transport = interior_terms(model, states, dx)
-        K = max(K, _transport_ratio_max(dec, source, transport))
-        k1 = np.zeros_like(states)
+        source, transport = interior_terms(model, S, dx)
+        k1 = np.zeros_like(S)
         k1[1:-1] = source + transport
-        k2 = interior_full_rhs(model, states + (0.5 * dt) * k1, dx)
-        k3 = interior_full_rhs(model, states + (0.5 * dt) * k2, dx)
-        k4 = interior_full_rhs(model, states + dt * k3, dx)
-        states = states + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        U = dec.Zt_f @ states[i0]
-        path += float(np.linalg.norm(U - U_prev))
-        U_prev = U
-        t += dt
-    _, dist = _fiber_anchor(dec, model, z0)
+        return k1, _transport_ratio_max(dec, source, transport)
+
+    t, K, path = _entry_time(dec, model, lambda S: interior_full_rhs(model, S, dx), first,
+                             states, i0, dt, max_time,
+                             dt_cap=lambda S: _stable_dt(model, S, dx))
+    _, dist = _fiber_anchor(dec, model, states[i0])
     return _report(dec, t, dist, K, path)

@@ -26,6 +26,7 @@ from .errors import (
     SingularJacobianError,
     SplitConflictError,
 )
+from .steady import damped_newton
 
 __all__ = [
     "GqlDecomposition",
@@ -248,73 +249,15 @@ def decomposed_rhs(dec: GqlDecomposition, model: ReactionDiffusionModel, z):
 
 
 FIBER_MAX_ITER = 60   # Newton iterations per fibre
-FIBER_HALVINGS = 40   # step halvings per line search
-
-
-def _solve_rows(A, b):
-    """Solve ``A[i] x[i] = b[i]`` for a stack; returns ``(x, ok)``.
-
-    A stack holding one matrix that LAPACK finds singular makes the stacked
-    solve fail as a whole, so such a stack is bisected until each singular
-    matrix stands alone; its row of ``x`` is NaN and its ``ok`` False.
-    """
-    try:
-        return np.linalg.solve(A, b[..., None])[..., 0], np.ones(len(b), dtype=bool)
-    except np.linalg.LinAlgError:
-        if len(b) == 1:
-            return np.full_like(b, np.nan), np.zeros(1, dtype=bool)
-    h = len(b) // 2
-    x1, ok1 = _solve_rows(A[:h], b[:h])
-    x2, ok2 = _solve_rows(A[h:], b[h:])
-    return np.concatenate([x1, x2]), np.concatenate([ok1, ok2])
 
 
 def _fiber_newton(dec: GqlDecomposition, model: ReactionDiffusionModel, V, U0,
                   tol: float, max_iter: int):
-    """Damped Newton on ``Zt_f phi(z) = 0`` for a stack of fibres at once.
-
-    ``V`` is ``(m, n_s)``; ``U0`` is ``None`` (start at zero) or broadcasts
-    to ``(m, n_f)``.  Each fibre runs its own iteration: it stops once
-    ``|g|_inf < tol``, steps by ``solve(Zt_f J(z) Z_f, -g)`` and halves the
-    step until the residual strictly decreases, at most ``FIBER_HALVINGS``
-    times.  A fibre freezes when it converges, when its line search fails
-    or when its reduced Jacobian is singular.  Only fibres still iterating
-    are evaluated, so every fibre evaluates the same states it would alone.
-    Returns ``(z, converged, singular)``, one row per fibre.
-    """
-    m = V.shape[0]
-    U = np.zeros((m, dec.n_f)) if U0 is None else np.array(
-        np.broadcast_to(U0, (m, dec.n_f)), dtype=float)
-    z = from_fast_slow_coords(dec, U, V)
-    g = eval_source(model, z) @ dec.Zt_f.T
-    gnorm = np.abs(g).max(axis=1)
-    live = np.ones(m, dtype=bool)
-    singular = np.zeros(m, dtype=bool)
-    for _ in range(max_iter):
-        live &= ~(gnorm < tol)
-        rows = np.flatnonzero(live)
-        if rows.size == 0:
-            break
-        dU, ok = _solve_rows(dec.Zt_f @ model.jacobian(z[rows]) @ dec.Z_f, -g[rows])
-        singular[rows[~ok]] = True
-        live[rows[~ok]] = False
-        rows, dU = rows[ok], dU[ok]
-        step = 1.0
-        for _ in range(FIBER_HALVINGS):
-            U_new = U[rows] + step * dU
-            z_new = from_fast_slow_coords(dec, U_new, V[rows])
-            g_new = eval_source(model, z_new) @ dec.Zt_f.T
-            gnorm_new = np.abs(g_new).max(axis=1)
-            down = gnorm_new < gnorm[rows]
-            took = rows[down]
-            U[took], z[took], g[took], gnorm[took] = (
-                U_new[down], z_new[down], g_new[down], gnorm_new[down])
-            rows, dU = rows[~down], dU[~down]
-            if rows.size == 0:
-                break
-            step *= 0.5
-        live[rows] = False  # no halving decreased the residual
-    return z, gnorm < tol, singular
+    """:func:`damped_newton` on ``Zt_f phi(z) = 0`` for a ``(m, n_s)`` stack of
+    fibres ``z = U Z_f^T + V Z_s^T``; ``U0`` is None (zero) or broadcasts to
+    ``(m, n_f)``."""
+    return damped_newton(lambda z: eval_source(model, z), model.jacobian,
+                         dec.Zt_f, dec.Z_f, V @ dec.Z_s.T, U0, tol, max_iter)
 
 
 def solve_on_fiber(dec: GqlDecomposition, model: ReactionDiffusionModel, V,
@@ -328,7 +271,7 @@ def solve_on_fiber(dec: GqlDecomposition, model: ReactionDiffusionModel, V,
     singular.
     """
     V = np.atleast_1d(np.asarray(V, dtype=float))
-    z, converged, singular = _fiber_newton(dec, model, V[None], U0, tol, max_iter)
+    z, converged, singular, _ = _fiber_newton(dec, model, V[None], U0, tol, max_iter)
     if singular[0]:
         raise SingularJacobianError("fiber Newton hit a singular reduced Jacobian")
     return z[0], bool(converged[0])
@@ -366,7 +309,7 @@ def slow_manifold_mesh(dec: GqlDecomposition, model: ReactionDiffusionModel,
         )
     if V_pts.shape[0] == 0:
         raise EmptyMeshError("slow grid has no nodes")
-    z, ok, _ = _fiber_newton(dec, model, V_pts, U0, tol, FIBER_MAX_ITER)
+    z, ok, _, _ = _fiber_newton(dec, model, V_pts, U0, tol, FIBER_MAX_ITER)
     if not ok.any():
         raise EmptyMeshError("no slow-manifold grid node converged")
     states = np.where(ok[:, None], z, np.nan)

