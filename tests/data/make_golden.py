@@ -16,7 +16,16 @@ The committed ``golden_mesh.npz`` was written at commit 191001d, which
 solved each fibre with its own scalar Newton loop; ``tests/test_gql.py``
 checks that the batched fibre Newton reaches the same manifold.
 
-Usage: PYTHONPATH=src python tests/data/make_golden.py [--mesh] [out.npz]
+With ``--fasttime`` it writes fine-step entry times into the slow
+neighborhood (slow-time units, RK4 at ``dt = 5e-5`` read at a step
+boundary) to ``golden_fasttime.npz``: ``ode`` from (2, 0, 1), and ``pde101``
+and ``pde401``, the PDE tracked at x0 = 0.8 on N = 101 and N = 401 nodes.
+The committed ``golden_fasttime.npz`` was written at commit c307251, whose
+entry-time loop was explicit RK4; ``tests/test_fasttime.py`` checks the
+current default-step entry times against it.  The N = 401 run takes about
+10 s.
+
+Usage: PYTHONPATH=src python tests/data/make_golden.py [--mesh | --fasttime] [out.npz]
 """
 
 import sys
@@ -24,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from fastslow.fasttime import measure_fast_time_ode, measure_fast_time_pde
 from fastslow.gql import (
     build_surrogate,
     default_sample_states,
@@ -54,14 +64,33 @@ def write_mesh(out, model, z_eq):
     np.savez(out, V=mesh.V, states=mesh.states, converged=mesh.converged)
 
 
+FASTTIME_REFERENCE_DT = 5e-5
+
+
+def write_fasttime(out, model, z_eq):
+    dec = spectral_split(build_surrogate(model, default_sample_states(model, extra=[z_eq])))
+    right = np.array([2.0, 0.0, 1.0])
+    bc = BoundaryConditions(left_state=z_eq, right_state=right)
+    dt = FASTTIME_REFERENCE_DT
+    pde = {f"pde{n}": measure_fast_time_pde(dec, model, bc, SolverSettings(node_count=n),
+                                            x0=0.8, dt=dt).t_enter
+           for n in (101, 401)}
+    np.savez(out, ode=measure_fast_time_ode(dec, model, right, dt=dt).t_enter, dt=dt, **pde)
+
+
+WRITERS = {"": ("golden.npz", write_steady),
+           "--mesh": ("golden_mesh.npz", write_mesh),
+           "--fasttime": ("golden_fasttime.npz", write_fasttime)}
+
+
 def main(argv):
-    mesh = "--mesh" in argv
-    args = [a for a in argv if a != "--mesh"]
-    name = "golden_mesh.npz" if mesh else "golden.npz"
+    flags = [a for a in argv if a in WRITERS]
+    args = [a for a in argv if a not in WRITERS]
+    name, write = WRITERS[flags[0] if flags else ""]
     out = args[0] if args else Path(__file__).with_name(name)
     model = michaelis_menten_model()
     z_eq = equilibrium(model, [1.0, 0.5, 0.5], tol=1e-13)
-    (write_mesh if mesh else write_steady)(out, model, z_eq)
+    write(out, model, z_eq)
 
 
 if __name__ == "__main__":
