@@ -9,6 +9,7 @@ from .core import (  # noqa: F401
     SpatialProfile,
     eval_full_rhs,
     eval_source,
+    laplacian,
 )
 from .models import (  # noqa: F401
     MichaelisMentenParams,
@@ -28,7 +29,6 @@ from .pde import (  # noqa: F401
     BoundaryConditions,
     SolverSettings,
     integrate_to_steady,
-    laplacian,
     linear_initial_profile,
 )
 from .redim import (  # noqa: F401

@@ -88,8 +88,8 @@ class RunConfig:
         points = self.redim2d_points
         if not isinstance(points, (tuple, list)) or len(points) != 2:
             raise ConfigError(f"redim2d_points must hold 2 node counts, got {points!r}")
-        for value in points:
-            _check_int("redim2d_points", value, 3)
+        for value in points:  # the one-sided edge differences reach 3 nodes in
+            _check_int("redim2d_points", value, 4)
         for key in ("steady_tol", "mesh_tol", "redim_tol"):
             _check_number(key, getattr(self, key), lambda v: 0.0 <= v < math.inf,
                           "a finite number >= 0")

@@ -21,6 +21,7 @@ __all__ = [
     "ReactionDiffusionModel",
     "as_state",
     "eval_source",
+    "laplacian",
     "eval_full_rhs",
     "write_profile_csv",
     "read_profile_csv",
@@ -152,8 +153,8 @@ def eval_source(model: ReactionDiffusionModel, z) -> np.ndarray:
     return out
 
 
-def eval_full_rhs(model: ReactionDiffusionModel, profile: SpatialProfile, node_index: int) -> np.ndarray:
-    """Source plus diagonal diffusion at an interior node of a profile."""
+def laplacian(profile: SpatialProfile, node_index: int) -> np.ndarray:
+    """Second central difference at an interior node, componentwise."""
     N = profile.grid.node_count
     if not 0 < node_index < N - 1:
         raise BoundaryNodeError(
@@ -161,8 +162,13 @@ def eval_full_rhs(model: ReactionDiffusionModel, profile: SpatialProfile, node_i
         )
     S = profile.states
     dx = profile.grid.spacing
-    lap = (S[node_index - 1] - 2.0 * S[node_index] + S[node_index + 1]) / (dx * dx)
-    return eval_source(model, S[node_index]) + model.diffusion * lap
+    return (S[node_index - 1] - 2.0 * S[node_index] + S[node_index + 1]) / (dx * dx)
+
+
+def eval_full_rhs(model: ReactionDiffusionModel, profile: SpatialProfile, node_index: int) -> np.ndarray:
+    """Source plus diagonal diffusion at an interior node of a profile."""
+    lap = laplacian(profile, node_index)
+    return eval_source(model, profile.states[node_index]) + model.diffusion * lap
 
 
 def interior_terms(model: ReactionDiffusionModel, states: np.ndarray, dx: float):

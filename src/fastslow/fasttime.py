@@ -138,18 +138,20 @@ def _diffusion_solver(diffusion, node_count: int, dx: float, dt: float):
     return solve
 
 
-def _entry_time(dec, model, y, track, dt, max_time, first, terms, solver):
+def _measure(dec, model, y, track, dt, max_time, terms, solver):
     """Integrate dy/dt = f(y) + L y until ``y[track]`` enters the slow
-    neighborhood; returns the model time of entry, K, the fast-coordinate
-    path, the step count and ``dt``.
+    neighborhood and compare the entry time with the bound.
 
     One ARS(2,2,2) step: ``terms(Y)`` gives the explicit source ``f(Y)`` and
     the transport ``L Y``, and ``solver(dt)`` the implicit-stage solve
-    ``b -> (I - GAMMA dt L)^(-1) b``.  ``first(y)`` gives the first stage's
-    source together with a K sample, so one source evaluation serves both.  The default ``dt`` is :func:`_default_dt`.
+    ``b -> (I - GAMMA dt L)^(-1) b``.  The terms of each new state serve
+    three uses: the entry test of ``y[track]``, a K sample if it has not
+    entered, and the first stage of the next step.  The default ``dt`` is
+    :func:`_default_dt`.
     """
     threshold = float(np.sqrt(dec.epsilon))
-    g = fast_residual_norm(dec, model, y[track])
+    z0 = y[track]
+    g = fast_residual_norm(dec, model, z0)
     if g < threshold:
         raise ContractViolationError("the start state already lies in the slow neighborhood")
     if dt is None:
@@ -160,16 +162,16 @@ def _entry_time(dec, model, y, track, dt, max_time, first, terms, solver):
     solve = solver(dt)
     t = K = path = 0.0
     steps = 0
-    U_prev = dec.Zt_f @ y[track]
+    U0 = U_prev = dec.Zt_f @ z0
     # an unstable step overflows; the finiteness check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
+        F1, L1 = terms(y)
         while True:
             if t > max_time:
                 raise ConvergenceError(
                     f"tracked state did not enter the slow neighborhood by t = {max_time:g}"
                 )
-            F1, K_sample = first(y)
-            K = max(K, K_sample)
+            K = max(K, _transport_ratio_max(dec, F1, L1))
             F2, L2 = terms(solve(y + (GAMMA * dt) * F1))
             y = solve(y + dt * (DELTA * F1 + (1.0 - DELTA) * F2) + ((1.0 - GAMMA) * dt) * L2)
             steps += 1
@@ -179,25 +181,18 @@ def _entry_time(dec, model, y, track, dt, max_time, first, terms, solver):
             U = dec.Zt_f @ y[track]
             path += float(np.linalg.norm(U - U_prev))
             U_prev = U
-            g_new = fast_residual_norm(dec, model, y[track])
+            F1, L1 = terms(y)
+            g_new = float(np.linalg.norm(dec.Zt_f @ F1[track]) / dec.fast_rate)
             if g_new < threshold:
-                return t + dt * (g - threshold) / (g - g_new), K, path, steps, dt
+                break
             g = g_new
             t += dt
-
-
-def _fiber_anchor(dec, model, z0):
-    """Intersection of the fast fiber through z0 with the zero-order manifold."""
-    U0, V0 = dec.Zt_f @ z0, dec.Zt_s @ z0
-    z_s, ok = solve_on_fiber(dec, model, V0, U0=U0, tol=1e-12)
+    t_slow = (t + dt * (g - threshold) / (g - g_new)) * dec.slow_rate
+    # the fast fiber through the start meets the zero-order manifold at z_s
+    z_s, ok = solve_on_fiber(dec, model, dec.Zt_s @ z0, U0=U0, tol=1e-12)
     if not ok:
         raise ConvergenceError("fast-fiber Newton did not reach the slow manifold")
     dist = float(np.linalg.norm(U0 - dec.Zt_f @ z_s))
-    return z_s, dist
-
-
-def _report(dec, dist, t_model, K, path_length, steps, dt):
-    t_slow = t_model * dec.slow_rate
     bound = float(np.sqrt(2.0 * dec.epsilon) * 2.0 * (1.0 + dec.epsilon * K) * dist)
     return FastTimeReport(
         epsilon=dec.epsilon,
@@ -206,8 +201,8 @@ def _report(dec, dist, t_model, K, path_length, steps, dt):
         t_enter=t_slow,
         bound=bound,
         ratio=t_slow / bound if bound > 0.0 else np.inf,
-        path_length=path_length,
-        length_ok=bool(path_length <= 2.0 * dist),
+        path_length=path,
+        length_ok=bool(path <= 2.0 * dist),
         steps=steps,
         dt=dt,
     )
@@ -218,19 +213,17 @@ def measure_fast_time_ode(dec: GqlDecomposition, model: ReactionDiffusionModel,
                           max_time: float | None = None) -> FastTimeReport:
     """Integrate dz/dt = phi(z) and time the entry into the slow neighborhood:
     the PDE measurement on one node without transport."""
-    z = as_state(z0, model.dimension)
-    run = _entry_time(dec, model, z, ..., dt, max_time,
-                      lambda y: (model.source(y), 0.0),
-                      lambda y: (model.source(y), 0.0),
-                      lambda dt: lambda b: b)
-    _, dist = _fiber_anchor(dec, model, z)
-    return _report(dec, dist, *run)
+    return _measure(dec, model, as_state(z0, model.dimension), ..., dt, max_time,
+                    lambda y: (model.source(y), 0.0), lambda dt: lambda b: b)
 
 
 def _transport_ratio_max(dec, source, transport):
-    """max over the interior nodes outside the slow neighborhood of
-    |Zt_f L| / |Zt_f phi| (scale free), from the interior source phi and
-    transport L = D Lap of :func:`interior_terms`."""
+    """max over the nodes outside the slow neighborhood of |Zt_f L| /
+    |Zt_f phi| (scale free), from the source phi and transport L = D Lap of
+    :func:`interior_terms`; 0 for an all-zero transport.  A row with zero
+    source, such as a held end row, never lies outside."""
+    if not np.any(transport):
+        return 0.0
     Lf = transport @ dec.Zt_f.T
     gf = source @ dec.Zt_f.T
     gn = np.linalg.norm(gf, axis=1)
@@ -276,11 +269,5 @@ def measure_fast_time_pde(dec: GqlDecomposition, model: ReactionDiffusionModel,
         F[1:-1], L[1:-1] = interior_terms(model, S, dx)
         return F, L
 
-    def first(S):
-        F, L = terms(S)
-        return F, _transport_ratio_max(dec, F[1:-1], L[1:-1])
-
-    run = _entry_time(dec, model, states, i0, dt, max_time, first, terms,
-                      lambda dt: _diffusion_solver(model.diffusion, grid.node_count, dx, dt))
-    _, dist = _fiber_anchor(dec, model, states[i0])
-    return _report(dec, dist, *run)
+    return _measure(dec, model, states, i0, dt, max_time, terms,
+                    lambda dt: _diffusion_solver(model.diffusion, grid.node_count, dx, dt))

@@ -7,7 +7,6 @@ Dirichlet-held.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +17,9 @@ from .core import (
     SpatialProfile,
     as_state,
     interior_full_rhs,
+    laplacian,
 )
-from .errors import BoundaryNodeError, ContractViolationError
+from .errors import ContractViolationError
 from .steady import relax_free
 
 __all__ = [
@@ -72,17 +72,6 @@ class SteadyResult:
     elapsed_time: float
     residual_history: tuple
     steps: int
-    wall_seconds: float
-
-
-def laplacian(profile: SpatialProfile, node_index: int) -> np.ndarray:
-    """Second central difference at an interior node, componentwise."""
-    N = profile.grid.node_count
-    if not 0 < node_index < N - 1:
-        raise BoundaryNodeError(f"node {node_index} is not interior")
-    S = profile.states
-    dx = profile.grid.spacing
-    return (S[node_index - 1] - 2.0 * S[node_index] + S[node_index + 1]) / (dx * dx)
 
 
 def linear_initial_profile(left, right, grid: Grid1D) -> SpatialProfile:
@@ -106,7 +95,6 @@ def integrate_to_steady(model: ReactionDiffusionModel, bc: BoundaryConditions,
     settings = settings or SolverSettings()
     grid = Grid1D(settings.node_count)
     initial = linear_initial_profile(bc.left_state, bc.right_state, grid).states
-    wall0 = time.perf_counter()
     states, history = relax_free(lambda S: interior_full_rhs(model, S, grid.spacing),
                                  initial, np.s_[1:-1], (1, initial.shape[1] - 1),
                                  settings.steady_tol)
@@ -115,5 +103,4 @@ def integrate_to_steady(model: ReactionDiffusionModel, bc: BoundaryConditions,
         elapsed_time=history[-1][0],
         residual_history=tuple(history),
         steps=len(history) - 1,
-        wall_seconds=time.perf_counter() - wall0,
     )

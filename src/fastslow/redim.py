@@ -364,6 +364,10 @@ def evolve_redim_2d(model: ReactionDiffusionModel, theta1_range, theta2_range,
         raise ContractViolationError(
             f"the 2-D REDIM is a graph Z(X, Y) of 3 species; model has {model.dimension}"
         )
+    if min(M1, M2) < 4:
+        # every hold mode takes one-sided second differences at the edges
+        raise ContractViolationError(f"the 2-D REDIM needs at least 4 nodes per axis, "
+                                     f"got M1 = {M1}, M2 = {M2}")
     t1 = np.linspace(theta1_range[0], theta1_range[1], M1)
     t2 = np.linspace(theta2_range[0], theta2_range[1], M2)
     d1 = float(t1[1] - t1[0])

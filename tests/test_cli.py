@@ -87,6 +87,8 @@ def test_load_config_rejects_bad_json(tmp_path):
 @pytest.mark.parametrize("bad, key", [
     ({"nodes": "51"}, "nodes"),
     ({"redim2d_points": [5]}, "redim2d_points"),
+    ({"redim2d_points": [3, 61]}, "redim2d_points"),
+    ({"redim2d_points": [61, 3]}, "redim2d_points"),
     ({"mesh_points_per_axis": "30"}, "mesh_points_per_axis"),
     ({"mesh_points_per_axis": 0}, "mesh_points_per_axis"),
     ({"dt_safety": 2}, "dt_safety"),
@@ -98,7 +100,8 @@ def test_load_config_rejects_bad_json(tmp_path):
     ({"model_params": {"L1": "a"}}, "model_params"),
     ({"gql_mode": "nope"}, "gql_mode"),
     ({"redim_grad": "nope"}, "redim_grad"),
-], ids=["nodes-string", "redim2d-one-entry", "mesh-points-string", "mesh-points-zero",
+], ids=["nodes-string", "redim2d-one-entry", "redim2d-3-theta1-nodes",
+        "redim2d-3-theta2-nodes", "mesh-points-string", "mesh-points-zero",
         "dt-safety-above-1", "fasttime-start-length", "fasttime-x0-outside",
         "fasttime-x0-boundary-node", "min-gap-ratio-below-1", "model-unknown",
         "model-params-string", "gql-mode-unknown", "redim-grad-unknown"])

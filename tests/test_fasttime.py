@@ -243,9 +243,9 @@ def test_pde_node_inside_diffusion_layer_never_enters(mm_dec, mm_model, mm_bc):
 
 
 def test_pde_evaluates_the_source_twice_per_step(mm_dec, mm_model, mm_bc):
-    """Each step evaluates the N - 2 interior nodes once per explicit stage
-    (the first stage's evaluation also gives K) and the tracked node once
-    for the entry test: 2 (N - 2) + 1 source states."""
+    """Each step evaluates the N - 2 interior nodes once per explicit stage.
+    The evaluation of each new state also gives its entry test, its K sample
+    and the next step's first stage: 2 (N - 2) source states per step."""
     calls = []
 
     def source(z):
@@ -256,15 +256,31 @@ def test_pde_evaluates_the_source_twice_per_step(mm_dec, mm_model, mm_bc):
     N = 21
     report = measure_fast_time_pde(mm_dec.value, counted, mm_bc,
                                    SolverSettings(node_count=N), x0=0.5)
-    steps = calls.count(N - 2) // 2
+    steps = (calls.count(N - 2) - 1) // 2
     assert steps > 0 and report.K > 0.0
     assert report.steps == steps and report.dt == _default_dt(mm_dec.value)
-    # the start is tested once before the loop, then each step is two
-    # stages and the entry test of the new state
-    end = 1 + 3 * steps
-    assert calls[:end] == [1] + [N - 2, N - 2, 1] * steps
-    assert sum(calls[1:end]) == steps * (2 * (N - 2) + 1)
+    # the start is tested once, the start state evaluated once before the
+    # loop, then each step is its second stage and the new state
+    end = 2 + 2 * steps
+    assert calls[:end] == [1, N - 2] + [N - 2, N - 2] * steps
+    assert sum(calls[2:end]) == steps * 2 * (N - 2)
     assert N - 2 not in calls[end:]  # the fibre anchor evaluates single states
+
+
+def test_source_turning_non_finite_raises_divergence():
+    """A source that turns NaN once the fast component has fallen below 0.5,
+    half way to the slow neighborhood, stops both measurements with
+    DivergenceError, not with a contract error on the non-finite source."""
+    A = np.diag([-1e-4, -1.0])
+    model = linear_model(A, np.zeros(2), diffusion=np.full(2, 0.01))
+    dec = spectral_split(A)
+    broken = dataclasses.replace(
+        model, source=lambda z: np.where(z[..., 1:] < 0.5, np.nan, model.source(z)))
+    with pytest.raises(DivergenceError, match="non-finite by t = "):
+        measure_fast_time_ode(dec, broken, np.ones(2))
+    bc = BoundaryConditions(np.ones(2), np.ones(2))
+    with pytest.raises(DivergenceError, match="non-finite by t = "):
+        measure_fast_time_pde(dec, broken, bc, SolverSettings(node_count=21), x0=0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from fastslow.errors import (
     ParametrizationError,
 )
 from fastslow.models import MichaelisMentenParams, linear_model, michaelis_menten_model
+from fastslow.pde import SolverSettings, integrate_to_steady
 from fastslow.redim import (
     Manifold1D,
     Manifold2D,
@@ -277,6 +278,28 @@ def test_redim1d_grid_refinement(mm_model, mm_bc, mm_grad1, redim1d_mm):
     assert np.abs(fine.states[::2] - coarse.states).max() <= 1e-3
 
 
+def test_redim1d_coincides_with_the_profile_at_second_order(mm_model, mm_bc):
+    """The REDIM-1D on M = N nodes, with chi from the N-node profile, against
+    that profile (acceptance 6's distance) for N = 51 to 801: measured
+    1.038e-3, 3.259e-4, 9.642e-5, 2.557e-5 and 6.632e-6, observed orders
+    1.672, 1.757, 1.915 and 1.947.  The coarse grids are not yet asymptotic,
+    so only the two finest orders are held to 2."""
+    dists = []
+    for n in (51, 101, 201, 401, 801):
+        profile = integrate_to_steady(mm_model, mm_bc, SolverSettings(node_count=n)).profile
+        man = evolve_redim_1d(mm_model, (mm_bc.left_state, mm_bc.right_state), M=n,
+                              grad=gradient_estimate_from_profile(profile, "1d"))
+        prof = profile.states
+        Ym = np.interp(prof[:, 0], man.theta_grid, man.states[:, 1])
+        Zm = np.interp(prof[:, 0], man.theta_grid, man.states[:, 2])
+        dists.append(np.sqrt((prof[:, 1] - Ym) ** 2 + (prof[:, 2] - Zm) ** 2).max())
+    dists = np.array(dists)
+    orders = np.log2(dists[:-1] / dists[1:])
+    print("REDIM-1D to profile distances", dists, "orders", orders)
+    assert np.all(np.diff(dists) < 0.0)
+    assert np.all((1.85 <= orders[-2:]) & (orders[-2:] <= 2.15)), orders
+
+
 def test_redim1d_rejects_degenerate_anchors(mm_model):
     with pytest.raises(ContractViolationError):
         evolve_redim_1d(mm_model, (Z_EQ, Z_EQ), M=11)
@@ -326,6 +349,16 @@ def test_redim2d_linear_model_invariant_plane():
                            grad=constant_gradient((0.0, 0.0), "2d"),
                            initial_z=np.full_like(target, 0.5), hold="none", tol=1e-10)
     assert np.abs(flat.Z_values - target).max() <= 1e-8
+
+
+@pytest.mark.parametrize("hold", ["theta1", "all", "none"])
+def test_redim2d_rejects_an_axis_of_3_nodes(mm_model, hold):
+    """Every hold mode takes one-sided second differences at the edges,
+    which reach 3 nodes in: an axis needs at least 4 nodes."""
+    for M1, M2 in ((3, 11), (11, 3)):
+        with pytest.raises(ContractViolationError, match="at least 4 nodes"):
+            evolve_redim_2d(mm_model, (0.0, 2.0), (0.0, 1.0), M1=M1, M2=M2,
+                            anchor_values=(YEQ, 1.0), hold=hold)
 
 
 def test_redim2d_converged_residual(redim2d_mm, mm_model):
