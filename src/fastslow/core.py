@@ -177,14 +177,6 @@ def interior_terms(model: ReactionDiffusionModel, states: np.ndarray, dx: float)
     return model.source(states[1:-1]), model.diffusion * lap
 
 
-def interior_full_rhs(model: ReactionDiffusionModel, states: np.ndarray, dx: float) -> np.ndarray:
-    """Vectorized full RHS on all interior nodes; boundary rows are zero."""
-    out = np.zeros_like(states)
-    source, transport = interior_terms(model, states, dx)
-    out[1:-1] = source + transport
-    return out
-
-
 def _provenance_lines(comment: str) -> list:
     return [f"# {line}" for line in comment.splitlines() if line.strip()] if comment else []
 

@@ -23,12 +23,12 @@ the ODE one identically.
 
 Both transients are integrated by one ARS(2,2,2) IMEX Runge-Kutta loop
 (Ascher, Ruuth & Spiteri, Appl. Numer. Math. 25, 1997) at the fast-scale step
-``eps / (20 slow_rate)``: diffusion implicit, the source explicit.  The
-implicit stages are tridiagonal solves, so the step is not held to the
-explicit diffusion limit dx^2 / (2 D); without transport the step is the
-explicit second-order Runge-Kutta method the tableau contains.  The entry
-time is located inside the step by linear interpolation of ghat between the
-two steps that straddle sqrt(eps).
+``eps / (20 slow_rate)``, at most ``1 / max|lambda|``: diffusion implicit, the
+source explicit.  The implicit stages are tridiagonal solves, so the step is
+not held to the explicit diffusion limit dx^2 / (2 D); without transport the
+step is the explicit second-order Runge-Kutta method the tableau contains.
+The entry time is located inside the step by linear interpolation of ghat
+between the two steps that straddle sqrt(eps).
 """
 
 from __future__ import annotations
@@ -95,8 +95,8 @@ def slow_neighborhood_test(dec: GqlDecomposition, model: ReactionDiffusionModel,
 
 
 def _default_dt(dec: GqlDecomposition) -> float:
-    # half the admissible maximum; the precondition is dt * slow_rate <= eps/10
-    return dec.epsilon / (20.0 * dec.slow_rate)
+    # half of both limits: dt * slow_rate <= eps/10, 2 / |lambda| for the explicit stages
+    return min(dec.epsilon / (20.0 * dec.slow_rate), 1.0 / float(np.abs(dec.eigenvalues).max()))
 
 
 def _check_dt(dec: GqlDecomposition, dt: float) -> None:

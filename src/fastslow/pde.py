@@ -16,11 +16,11 @@ from .core import (
     ReactionDiffusionModel,
     SpatialProfile,
     as_state,
-    interior_full_rhs,
+    interior_terms,
     laplacian,
 )
 from .errors import ContractViolationError
-from .steady import relax_free
+from .steady import band_assembler, difference_matrix, relax_free
 
 __all__ = [
     "BoundaryConditions",
@@ -95,9 +95,15 @@ def integrate_to_steady(model: ReactionDiffusionModel, bc: BoundaryConditions,
     settings = settings or SolverSettings()
     grid = Grid1D(settings.node_count)
     initial = linear_initial_profile(bc.left_state, bc.right_state, grid).states
-    states, history = relax_free(lambda S: interior_full_rhs(model, S, grid.spacing),
-                                 initial, np.s_[1:-1], (1, initial.shape[1] - 1),
-                                 settings.steady_tol)
+    N, dx, inner = grid.node_count, grid.spacing, np.s_[1:-1]
+    # each node's source Jacobian, and diag(D) on the Laplacian
+    assemble = band_assembler(initial[inner].shape, [(difference_matrix(N, dx, 0, inner), None), (
+        difference_matrix(N, dx, 2, inner), {0: model.diffusion})])
+
+    def rate(S):
+        return (np.add(*interior_terms(model, S, dx)),
+                lambda: assemble([model.jacobian(S[inner]), 1.0]))
+    states, history = relax_free(rate, initial, inner, settings.steady_tol)
     return SteadyResult(
         profile=SpatialProfile(grid, states),
         elapsed_time=history[-1][0],

@@ -28,14 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ReactionDiffusionModel, SpatialProfile, as_state
+from .core import ReactionDiffusionModel, SpatialProfile, as_state, interior_terms
 from .errors import (
     BoundaryNodeError,
     ContractViolationError,
     DegenerateParametrizationError,
     ParametrizationError,
 )
-from .steady import relax_free
+from .steady import band_assembler, difference_matrix, relax_free
 
 __all__ = [
     "GradientEstimate",
@@ -263,16 +263,20 @@ def redim_rhs_1d(manifold: Manifold1D, model: ReactionDiffusionModel, j: int):
 # vectorized relaxation internals
 # ---------------------------------------------------------------------------
 
-def _rhs_1d_interior(states, chi, dth, model):
-    """(M, n) array of graph-form rates; boundary rows zero."""
-    out = np.zeros_like(states)
-    sec = (states[:-2] - 2.0 * states[1:-1] + states[2:]) / (dth * dth)
-    L = model.diffusion * (chi[1:-1, None] ** 2) * sec
-    L[:, 0] = 0.0
-    G = model.source(states[1:-1]) + L
+def _rhs_1d_interior(states, chi, dth, model, assemble):
+    """Graph-form rates of ``states[1:-1, 1:]`` and ``jac()``, their band: the
+    node block ``J[1:, 1:] - s J[0, 1:]`` (``s`` the slope), ``-G_0`` on the
+    first difference and ``D chi^2`` on the second."""
+    source, transport = interior_terms(model, states, dth)
+    G = source + chi[1:-1, None] ** 2 * transport
+    G[:, 0] = source[:, 0]  # X == theta is linear: no local diffusion
     slope = (states[2:] - states[:-2]) / (2.0 * dth)
-    out[1:-1, 1:] = G[:, 1:] - slope[:, 1:] * G[:, [0]]
-    return out
+
+    def jac():
+        J = model.jacobian(states[1:-1])[:, :, 1:]
+        return assemble([J[:, 1:] - slope[:, 1:, None] * J[:, None, 0], -G[:, [0]],
+                         model.diffusion[1:] * chi[1:-1, None] ** 2])
+    return G[:, 1:] - slope[:, 1:] * G[:, [0]], jac
 
 
 def evolve_redim_1d(model: ReactionDiffusionModel, anchors, M: int = 101,
@@ -299,42 +303,12 @@ def evolve_redim_1d(model: ReactionDiffusionModel, anchors, M: int = 101,
     chi = np.asarray(grad.chi1(theta), dtype=float)
 
     # interior nodes; theta itself is the graph coordinate and stays put
-    states, _ = relax_free(lambda S: _rhs_1d_interior(S, chi, dth, model), states,
-                           np.s_[1:-1, 1:], (1, model.dimension - 2), tol)
+    eye, inner = {0: np.ones(model.dimension - 1)}, np.s_[1:-1]
+    assemble = band_assembler(states[inner, 1:].shape, [
+        (difference_matrix(M, dth, k, inner), W) for k, W in ((0, None), (1, eye), (2, eye))])
+    states, _ = relax_free(lambda S: _rhs_1d_interior(S, chi, dth, model, assemble), states,
+                           np.s_[1:-1, 1:], tol)
     return Manifold1D(theta_grid=theta, states=states, chi=chi)
-
-
-def _d1(A, d, axis):
-    """First derivative along an axis: central interior, one-sided 2nd-order edges."""
-    A = np.moveaxis(A, axis, 0)
-    out = np.empty_like(A)
-    out[1:-1] = (A[2:] - A[:-2]) / (2.0 * d)
-    out[0] = (-3.0 * A[0] + 4.0 * A[1] - A[2]) / (2.0 * d)
-    out[-1] = (3.0 * A[-1] - 4.0 * A[-2] + A[-3]) / (2.0 * d)
-    return np.moveaxis(out, 0, axis)
-
-
-def _d2(A, d, axis):
-    """Second derivative along an axis: central interior, one-sided edges."""
-    A = np.moveaxis(A, axis, 0)
-    out = np.empty_like(A)
-    out[1:-1] = (A[:-2] - 2.0 * A[1:-1] + A[2:]) / (d * d)
-    out[0] = (2.0 * A[0] - 5.0 * A[1] + 4.0 * A[2] - A[3]) / (d * d)
-    out[-1] = (2.0 * A[-1] - 5.0 * A[-2] + 4.0 * A[-3] - A[-4]) / (d * d)
-    return np.moveaxis(out, 0, axis)
-
-
-def _rhs_2d(Zv, TH1, TH2, C1, C2, d1, d2, model):
-    z = np.stack([TH1, TH2, Zv], axis=-1)
-    Phi = model.source(z)
-    Z1 = _d1(Zv, d1, 0)
-    Z2 = _d1(Zv, d2, 1)
-    z11 = _d2(Zv, d1, 0)
-    z22 = _d2(Zv, d2, 1)
-    z12 = _d1(Z1, d2, 1)
-    delta = float(model.diffusion[-1])
-    LZ = delta * (C1 * C1 * z11 + 2.0 * C1 * C2 * z12 + C2 * C2 * z22)
-    return (Phi[..., 2] + LZ) - Z1 * Phi[..., 0] - Z2 * Phi[..., 1]
 
 
 def evolve_redim_2d(model: ReactionDiffusionModel, theta1_range, theta2_range,
@@ -370,8 +344,6 @@ def evolve_redim_2d(model: ReactionDiffusionModel, theta1_range, theta2_range,
                                      f"got M1 = {M1}, M2 = {M2}")
     t1 = np.linspace(theta1_range[0], theta1_range[1], M1)
     t2 = np.linspace(theta2_range[0], theta2_range[1], M2)
-    d1 = float(t1[1] - t1[0])
-    d2 = float(t2[1] - t2[0])
     TH1, TH2 = np.meshgrid(t1, t2, indexing="ij")
 
     if initial_z is not None:
@@ -396,8 +368,31 @@ def evolve_redim_2d(model: ReactionDiffusionModel, theta1_range, theta2_range,
 
     free = (slice(None) if hold == "none" else slice(1, -1),
             slice(1, -1) if hold == "all" else slice(None))
-    # one-sided differences at a free edge reach 3 nodes, central ones 1
-    reach = (3 if hold == "none" else 1, 1 if hold == "all" else 3)
-    Zv, _ = relax_free(lambda Z: _rhs_2d(Z, TH1, TH2, C1, C2, d1, d2, model),
-                       Zv, free, reach, tol)
+    # the rate and its Jacobian take their stencils from the same matrices
+    axes = [(len(t), float(t[1] - t[0])) for t in (t1, t2)]
+    (D1, D2), (E1, E2) = [[sum(np.diag(c[max(-k, 0):m - max(k, 0)], k)
+                               for k, c in difference_matrix(m, d, o).items()) for o in (1, 2)]
+                          for m, d in axes]
+    (A0, A1, A2), (B0, B1, B2) = [[difference_matrix(m, d, o, s) for o in (0, 1, 2)]
+                                  for (m, d), s in zip(axes, free)]
+    assemble = band_assembler(TH1[free].shape, [(A0, B0), (A1, B0), (A0, B1),
+                                                (A2, B0), (A1, B1), (A0, B2)])
+    delta = float(model.diffusion[-1])
+
+    def rate(Zv):
+        """Graph-form rates of ``Z[free]`` and ``jac()``, their band: the node
+        terms J_ZZ - Z1 J_XZ - Z2 J_YZ, then -Phi_X, -Phi_Y, delta C1^2, 2 delta
+        C1 C2 and delta C2^2 on D1 x I, I x D1, D2 x I, D1 x D1 and I x D2."""
+        z = np.stack([TH1, TH2, Zv], axis=-1)
+        Phi = model.source(z)
+        Z1, Z2 = D1 @ Zv, Zv @ E1.T
+        LZ = delta * (C1 * C1 * (D2 @ Zv) + 2.0 * C1 * C2 * (Z1 @ E1.T) + C2 * C2 * (Zv @ E2.T))
+
+        def jac():
+            J = model.jacobian(z[free])[..., 2]
+            return assemble([J[..., 2] - Z1[free] * J[..., 0] - Z2[free] * J[..., 1],
+                             -Phi[free][..., 0], -Phi[free][..., 1]] + [
+                delta * C[free] for C in (C1 * C1, 2.0 * C1 * C2, C2 * C2)])
+        return ((Phi[..., 2] + LZ) - Z1 * Phi[..., 0] - Z2 * Phi[..., 1])[free], jac
+    Zv, _ = relax_free(rate, Zv, free, tol)
     return Manifold2D(theta1_grid=t1, theta2_grid=t2, Z_values=Zv, chi1=C1, chi2=C2)

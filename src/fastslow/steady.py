@@ -6,7 +6,8 @@ pseudo-transient continuation (Kelley & Keyes, SIAM J. Numer. Anal. 35,
 1998): implicit Euler steps (I / dtau - J) d = F(x), x <- x + d, with dtau
 grown by switched evolution relaxation, dtau <- dtau * |F_old| / |F_new|
 (Mulder & van Leer, JCP 59, 1985).  Far from the solution this follows the
-pseudo-time path; as the residual falls the step becomes Newton's.
+pseudo-time path; as the residual falls the step becomes Newton's.  Its
+Jacobian is exact, assembled from a 1-D matrix along each grid axis.
 
 The equilibrium and the zero-order slow manifold are small dense problems,
 solved row by row in one batched damped Newton (:func:`damped_newton`).
@@ -19,64 +20,69 @@ import scipy.linalg as sla
 
 from .errors import ConvergenceError, DivergenceError
 
-__all__ = ["damped_newton", "grouped_fd_jacobian", "relax_free", "solve_steady"]
+__all__ = ["band_assembler", "damped_newton", "difference_matrix", "relax_free", "solve_steady"]
 
 DTAU0 = 0.1           # first pseudo-time step, in the model's time units
 MAX_ITERATIONS = 200
-FD_STEP = 1.5e-8      # ~ sqrt(machine epsilon), relative to max(1, |x|)
 HALVINGS = 40         # step halvings per damped-Newton line search
 
 
-def grouped_fd_jacobian(F, shape, reach):
-    """Forward-difference Jacobian of ``F`` as a callable ``jac(x, Fx)``.
+def difference_matrix(m, d, order, s=np.s_[:]):
+    """The identity (``order`` 0), first or second difference (1, 2) on ``m``
+    nodes of spacing ``d``, central with one-sided second-order end rows
+    (reaching 3 nodes in), in the rows and columns of the slice ``s``:
+    diagonals ``{k: c}``, ``c[i]`` in row ``i`` and column ``i + k``."""
+    central, edge = [([0.0, 1.0, 0.0], [1.0]), ([-0.5, 0.0, 0.5], [-1.5, 2.0, -0.5]),
+                     ([1.0, -2.0, 1.0], [2.0, -5.0, 4.0, -1.0])][order]
+    P = {k: np.zeros(m) for k in range(-3, 4)}
+    for k, c in zip((-1, 0, 1), central):
+        P[k][1:-1] = c / d ** order
+    for k, c in enumerate(edge):  # a first difference changes sign under reflection
+        P[k][0], P[-k][-1] = c / d ** order, (-1) ** order * c / d ** order
+    i = np.arange(m)[s]
+    return {k: c for k, c in ((k, p[s] * np.isin(i + k, i)) for k, p in P.items()) if c.any()}
 
-    Output ``r`` may depend only on the unknowns, laid out as an array of
-    ``shape``, within ``reach[a]`` steps of ``r`` along each axis ``a``, so
-    columns whose rows cannot overlap share one evaluation of ``F`` (Curtis,
-    Powell & Reid, IMA J. Appl. Math. 13, 1974).  ``jac`` returns ``(bw, ab)``:
-    the half-bandwidth and the band in LAPACK gbsv storage, ``J[r, c]`` at
-    ``ab[2 * bw + r - c, c]``; ``ab`` is overwritten by the next call.
-    """
-    shape, reach = np.array(shape), np.array(reach)
-    width = np.minimum(2 * reach + 1, shape)
-    idx = np.indices(shape).reshape(len(shape), -1)     # multi-index per unknown
-    group = np.ravel_multi_index(tuple(idx % width[:, None]), width)
-    strides = np.cumprod(shape[::-1])[::-1] // shape    # of the flattened order
-    bw = int(reach @ strides)
-    # single precision halves the band: the forward differences are only
-    # good to about FD_STEP anyway, and residuals stay in double precision
-    ab = np.empty((3 * bw + 1, idx.shape[1]), dtype=np.float32, order="F")
 
-    def jac(x, Fx):
-        h = FD_STEP * np.maximum(1.0, np.abs(x))
+def band_assembler(shape, terms):
+    """``assemble(weights)``: a Jacobian in the unknowns of ``shape`` ``(n0, n1)``
+    (C order) as ``(bw, ab)``, the band in LAPACK gbsv storage, ``J[r, c]`` at
+    ``ab[2 * bw + r - c, c]`` (``ab`` is reused).  Term ``(P, W)`` and weight
+    ``w`` add ``P[a, a'] W_a[b, b']`` at row ``(a, b)``, column ``(a', b')``:
+    ``P``, ``W`` as diagonals, ``W_a = diag(w[a]) W``, or ``w[a]`` if W is None."""
+    n0, n1 = shape
+    n, dense = n0 * n1, range(1 - n1, n1)
+    bw = max(abs(k * n1 + l) for P, W in terms for k in P for l in (dense if W is None else W))
+    # the band LU runs in blocks of 32 columns: at 61 x 61 nodes it factors
+    # a half-bandwidth of 64 in 10 ms, 63 in 26 ms; pad if under 8 diagonals
+    bw += -bw % 32 if -bw % 32 < 8 else 0
+    # single precision halves the band; residuals stay in double precision
+    ab = np.empty((3 * bw + 1, n), dtype=np.float32, order="F")
+
+    def assemble(weights):
         ab[:] = 0.0
-        for g, g_idx in enumerate(np.ndindex(*width)):
-            xp = x.copy()
-            xp[group == g] += h[group == g]
-            dF = F(xp) - Fx
-            r = np.flatnonzero(dF)
-            # along each axis, a window of `width` indices holds every column
-            # within reach of row r, and one of them is in group g
-            start = np.clip(idx[:, r] - reach[:, None], 0, (shape - width)[:, None])
-            c_idx = start + (np.array(g_idx)[:, None] - start) % width[:, None]
-            c = np.ravel_multi_index(tuple(c_idx), shape)
-            ab[2 * bw + r - c, c] = dF[r] / h[c]
+        for (P, W), w in zip(terms, weights):
+            Wa = ({l: np.pad(np.diagonal(w, l, 1, 2), ((0, 0), (max(-l, 0), max(l, 0))))
+                   for l in dense} if W is None else {l: w * c for l, c in W.items()})
+            for k, p in P.items():
+                for l, c in Wa.items():  # J[r, r + s] = v[r]
+                    s, v = k * n1 + l, (p[:, None] * c).ravel()
+                    ab[2 * bw - s, max(s, 0):n + min(s, 0)] += v[max(-s, 0):n - max(s, 0)]
         return bw, ab
 
-    return jac
+    return assemble
 
 
-def solve_steady(F, jac, x0, tol):
+def solve_steady(F, x0, tol):
     """Relax ``x0`` until the sup-norm of ``F`` falls below ``tol``.
 
-    ``jac(x, Fx)`` returns the band of the Jacobian of ``F`` as
-    :func:`grouped_fd_jacobian` does.  Returns ``x`` and one ``(pseudo_time,
+    ``F(x)`` returns the residual and ``jac()``, the band of its Jacobian at
+    ``x`` (:func:`band_assembler`).  Returns ``x`` and one ``(pseudo_time,
     residual)`` pair for the start and each step.  A non-finite residual
     raises DivergenceError; a singular step or MAX_ITERATIONS steps without
     convergence raise ConvergenceError carrying the residual.
     """
     x = np.array(x0, dtype=float)
-    Fx = F(x)
+    Fx, jac = F(x)
     residual = float(np.abs(Fx).max())
     tau, dtau = 0.0, DTAU0
     history = [(tau, residual)]
@@ -88,7 +94,7 @@ def solve_steady(F, jac, x0, tol):
         if len(history) > MAX_ITERATIONS:
             raise ConvergenceError(f"not stationary after {MAX_ITERATIONS} steps",
                                    residual=residual)
-        bw, ab = jac(x, Fx)
+        bw, ab = jac()
         ab *= -1.0
         ab[2 * bw] += 1.0 / dtau
         _, _, d, info = sla.lapack.sgbsv(bw, bw, ab, Fx.astype(np.float32), overwrite_ab=True)
@@ -96,7 +102,7 @@ def solve_steady(F, jac, x0, tol):
             raise ConvergenceError(f"singular step matrix at pseudo-time {tau:g}",
                                    residual=residual)
         x = x + d
-        Fx = F(x)
+        Fx, jac = F(x)
         tau += dtau
         residual = float(np.abs(Fx).max())
         # dtau * |F_old| / |F_new| at every step telescopes to this
@@ -104,12 +110,12 @@ def solve_steady(F, jac, x0, tol):
         history.append((tau, residual))
 
 
-def relax_free(rate, initial, free, reach, tol):
-    """Steady state of d(A[free])/dtau = rate(A)[free], the rest of A held.
+def relax_free(rate, initial, free, tol):
+    """Steady state of d(A[free])/dtau = rate(A), the rest of A held.
 
-    ``free`` selects a rectangular block of ``initial`` and ``reach`` is the
-    stencil reach of ``rate`` along each of its axes.  Returns the relaxed
-    array, bit-identical to ``initial`` outside ``free``, and the history.
+    ``free`` selects a rectangular block of ``initial``; ``rate(A)`` returns the
+    rates of ``A[free]`` and ``jac()``, the band of their Jacobian.  Returns the
+    relaxed array, bit-identical to ``initial`` outside ``free``, and the history.
     """
     shape = initial[free].shape
 
@@ -119,10 +125,10 @@ def relax_free(rate, initial, free, reach, tol):
         return out
 
     def F(x):
-        return rate(with_free(x))[free].ravel()
+        R, jac = rate(with_free(x))
+        return R.ravel(), jac
 
-    x, history = solve_steady(F, grouped_fd_jacobian(F, shape, reach),
-                              initial[free].ravel(), tol)
+    x, history = solve_steady(F, initial[free].ravel(), tol)
     return with_free(x), history
 
 

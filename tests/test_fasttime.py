@@ -107,18 +107,39 @@ def test_ode_non_entry_within_budget(mm_dec, mm_model):
         measure_fast_time_ode(mm_dec.value, mm_model, Z_RIGHT, max_time=1e-4)
 
 
-def test_unstable_transient_raises_divergence():
-    """A source rate far above the fast scale makes the default explicit step
-    unstable: both measurements stop with DivergenceError, without a numpy
-    overflow warning or a contract error on the non-finite source."""
+def _stiff_linear():
+    """A source rate of -1000 far above the fast scale (fast_rate 1, eps 1e-3):
+    the uncapped fast-scale step 0.05 is unstable for its explicit stages."""
     A = np.diag([-1e-3, -1.0, -1000.0])
-    model = linear_model(A, np.zeros(3), diffusion=np.full(3, 0.01))
-    dec = spectral_split(A)
+    return linear_model(A, np.zeros(3), diffusion=np.full(3, 0.01)), spectral_split(A)
+
+
+def test_unstable_transient_raises_divergence():
+    """An explicit step beyond the stability limit of the source stops both
+    measurements with DivergenceError, without a numpy overflow warning or a
+    contract error on the non-finite source."""
+    model, dec = _stiff_linear()
     with pytest.raises(DivergenceError, match="non-finite by t = "):
-        measure_fast_time_ode(dec, model, np.ones(3))
+        measure_fast_time_ode(dec, model, np.ones(3), dt=0.05)
     bc = BoundaryConditions(np.zeros(3), np.ones(3))
     with pytest.raises(DivergenceError, match="non-finite by t = "):
-        measure_fast_time_pde(dec, model, bc, SolverSettings(node_count=21), x0=0.5)
+        measure_fast_time_pde(dec, model, bc, SolverSettings(node_count=21), x0=0.5, dt=0.05)
+
+
+def test_default_step_is_stable_for_the_fastest_source_rate(mm_dec):
+    """The default step is capped at 1 / max|lambda|: 1e-3 for the stiff
+    linear model, which both measurements then complete.  The enzyme model's
+    cap (about 0.48) does not bind its fast-scale step."""
+    model, dec = _stiff_linear()
+    assert _default_dt(dec) == pytest.approx(1e-3, rel=1e-12)
+    bc = BoundaryConditions(np.zeros(3), np.ones(3))
+    for report in (measure_fast_time_ode(dec, model, np.ones(3)),
+                   measure_fast_time_pde(dec, model, bc, SolverSettings(node_count=21), x0=0.5)):
+        assert report.dt == _default_dt(dec)
+        assert np.isfinite([report.t_enter, report.bound, report.ratio, report.K]).all()
+    mm = mm_dec.value
+    assert _default_dt(mm) == mm.epsilon / (20.0 * mm.slow_rate)
+    assert 1.0 / np.abs(mm.eigenvalues).max() > 10.0 * _default_dt(mm)
 
 
 # ---------------------------------------------------------------------------

@@ -300,6 +300,34 @@ def test_redim1d_coincides_with_the_profile_at_second_order(mm_model, mm_bc):
     assert np.all((1.85 <= orders[-2:]) & (orders[-2:] <= 2.15)), orders
 
 
+def test_redim2d_contains_the_profile_at_second_order(mm_model, mm_bc):
+    """The REDIM-2D on M x M nodes, with chi from the (2M - 1)-node profile,
+    against that profile (``perfbench/checks.containment_error``: sup |Z|
+    distance at equal (X, Y)) for M = 31, 61 and 121: measured 1.149e-3,
+    3.386e-4 and 9.600e-5, observed orders 1.762 and 1.819 (1.88 at M = 241
+    outside this suite).  The orders still rise towards 2, so the finest is
+    held to [1.75, 2.15]: 0.07 below the measured value, the upper bound that
+    of the REDIM-1D test."""
+    from scipy.interpolate import RegularGridInterpolator
+    dists = []
+    for M in (31, 61, 121):
+        prof = integrate_to_steady(mm_model, mm_bc, SolverSettings(node_count=2 * M - 1)).profile
+        man = evolve_redim_2d(mm_model, (0.0, 2.0), (0.0, 1.0), M1=M, M2=M,
+                              grad=gradient_estimate_from_profile(prof, "2d"),
+                              anchor_values=(float(mm_bc.left_state[2]),
+                                             float(mm_bc.right_state[2])))
+        itp = RegularGridInterpolator((man.theta1_grid, man.theta2_grid), man.Z_values)
+        lo = [man.theta1_grid[0], man.theta2_grid[0]]
+        hi = [man.theta1_grid[-1], man.theta2_grid[-1]]
+        pts = np.clip(prof.states[:, :2], lo, hi)
+        dists.append(np.abs(itp(pts) - prof.states[:, 2]).max())
+    dists = np.array(dists)
+    orders = np.log2(dists[:-1] / dists[1:])
+    print("REDIM-2D to profile distances", dists, "orders", orders)
+    assert np.all(np.diff(dists) < 0.0)
+    assert 1.75 <= orders[-1] <= 2.15, orders
+
+
 def test_redim1d_rejects_degenerate_anchors(mm_model):
     with pytest.raises(ContractViolationError):
         evolve_redim_1d(mm_model, (Z_EQ, Z_EQ), M=11)

@@ -1,16 +1,18 @@
 """The shared steady-state solver: fixed points, failures and grid scaling."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fastslow.core import ReactionDiffusionModel, eval_source, interior_full_rhs
+from fastslow import pde, redim
+from fastslow.core import ReactionDiffusionModel, eval_source
 from fastslow.errors import ConvergenceError, DivergenceError
-from fastslow.models import equilibrium, michaelis_menten_model
+from fastslow.models import MichaelisMentenParams, equilibrium, michaelis_menten_model
 from fastslow.pde import BoundaryConditions, SolverSettings, integrate_to_steady
-from fastslow.redim import _rhs_2d, evolve_redim_1d, evolve_redim_2d
-from fastslow.steady import DTAU0, FD_STEP, damped_newton, grouped_fd_jacobian, solve_steady
+from fastslow.redim import constant_gradient, evolve_redim_1d, evolve_redim_2d
+from fastslow.steady import DTAU0, damped_newton, relax_free, solve_steady
 
 # Steady states of the RK4 relaxations at the acceptance configurations,
 # written by tests/data/make_golden.py (see its docstring for the commit).
@@ -57,57 +59,105 @@ def test_profile_iterations_are_grid_independent(mm_model, mm_bc, steady_101):
     assert fine.steps <= 2 * steady_101.value.steps
 
 
-def _redim2d_free_edges(model):
-    # the 2-D manifold residual with free edges, whose one-sided
-    # differences give the widest stencil in the package
-    t = np.linspace(0.0, 1.0, 9)
-    TH1, TH2 = np.meshgrid(2.0 * t, t, indexing="ij")
-    C = np.full(TH1.shape, 0.7)
+def _captured(monkeypatch, module, solve):
+    """The ``(rate, initial, free)`` that ``solve`` hands to ``relax_free``."""
+    seen = []
+
+    def capture(rate, initial, free, tol):
+        seen.append((rate, initial, free))
+        return initial, [(0.0, 0.0)]
+
+    monkeypatch.setattr(module, "relax_free", capture)
+    solve()
+    return seen[0]
+
+
+# small grids; the test moves the start off any fixed point so that every
+# term of each Jacobian is exercised
+PROBLEMS = {
+    "profile": (pde, lambda m: integrate_to_steady(
+        m, BoundaryConditions([0.0, 0.7, 0.7], [2.0, 0.0, 1.0]), SolverSettings(node_count=12))),
+    "redim1d": (redim, lambda m: evolve_redim_1d(
+        m, ([0.0, 0.7, 0.7], [2.0, 0.0, 1.0]), M=12, grad=constant_gradient(0.8))),
+}
+for _hold in ("theta1", "all", "none"):
+    # "none" takes one-sided differences at every edge: the widest stencil
+    PROBLEMS[f"redim2d-{_hold}"] = (redim, lambda m, hold=_hold: evolve_redim_2d(
+        m, (0.0, 2.0), (0.0, 1.0), M1=9, M2=8, grad=constant_gradient((0.7, 0.4), "2d"),
+        anchor_values=(0.3, 1.0), hold=hold))
+
+
+@pytest.mark.parametrize("case", list(PROBLEMS) + ["profile-fd-fallback"])
+def test_exact_band_matches_column_by_column_differences(monkeypatch, case):
+    """Each assembled band against forward differences of the same residual;
+    a model without ``jac`` goes through ``core.fd_jacobian``."""
+    model = michaelis_menten_model(MichaelisMentenParams(delta=0.1))
+    if case == "profile-fd-fallback":
+        case, model = "profile", dataclasses.replace(model, jac=None)
+    module, solve = PROBLEMS[case]
+    rate, A, free = _captured(monkeypatch, module, lambda: solve(model))
+    A = A + 0.05 * np.sin(np.arange(A.size)).reshape(A.shape)
+    x = A[free].ravel()
 
     def F(x):
-        return _rhs_2d(x.reshape(TH1.shape), TH1, TH2, C, C, 0.25, 0.125, model).ravel()
+        B = A.copy()
+        B[free] = x.reshape(A[free].shape)
+        return rate(B)[0].ravel()
 
-    x = 0.5 + 0.3 * np.sin(3.0 * TH1) * np.cos(2.0 * TH2)
-    return F, x.ravel(), TH1.shape, (3, 3)
-
-
-def _profile_interior(model):
-    # every species couples with every other at a node: a whole-axis reach
-    states = np.linspace([0.0, 0.7, 0.7], [2.0, 0.0, 1.0], 12)
-
-    def F(x):
-        S = states.copy()
-        S[1:-1] = x.reshape(10, 3)
-        return interior_full_rhs(model, S, 1.0 / 11.0)[1:-1].ravel()
-
-    return F, states[1:-1].ravel() + 0.01, (10, 3), (1, 2)
-
-
-@pytest.mark.parametrize("problem", [_redim2d_free_edges, _profile_interior],
-                         ids=["redim2d-free-edges", "profile-species"])
-def test_grouped_jacobian_matches_column_by_column_differences(mm_model, problem):
-    F, x, shape, reach = problem(mm_model)
     Fx = F(x)
-    bw, ab = grouped_fd_jacobian(F, shape, reach)(x, Fx)
+    bw, ab = rate(A)[1]()
     r, c = np.indices((x.size, x.size))
-    grouped = np.where(abs(r - c) <= bw, ab[np.clip(2 * bw + r - c, 0, 3 * bw), c], 0.0)
-    dense = np.empty_like(grouped)
+    band = np.where(abs(r - c) <= bw, ab[np.clip(2 * bw + r - c, 0, 3 * bw), c], 0.0)
+    dense = np.empty_like(band)
     for k in range(x.size):
         xp = x.copy()
-        h = FD_STEP * max(1.0, abs(x[k]))
+        h = 1.5e-8 * max(1.0, abs(x[k]))
         xp[k] += h
         dense[:, k] = (F(xp) - Fx) / h
     # the band is kept in single precision
-    assert np.abs(grouped - dense).max() <= 1e-6 * np.abs(dense).max()
+    assert np.abs(band - dense).max() <= 1e-6 * np.abs(dense).max()
+
+
+def _recorded(monkeypatch, module):
+    """Histories of every ``relax_free`` call made through ``module``."""
+    histories = []
+
+    def recording(*args):
+        A, history = relax_free(*args)
+        histories.append(history)
+        return A, history
+
+    monkeypatch.setattr(module, "relax_free", recording)
+    return histories
+
+
+@pytest.mark.parametrize("N", [51, 101, 201, 1601])
+def test_profile_iteration_count_is_pinned(mm_model, mm_bc, N):
+    result = integrate_to_steady(mm_model, mm_bc, SolverSettings(node_count=N))
+    assert result.steps <= 11
+    assert result.residual_history[-1][1] < SolverSettings().steady_tol
+
+
+def test_redim_iteration_counts_are_pinned(monkeypatch, mm_model, mm_bc, mm_grad1, mm_grad2):
+    """The exact Jacobian must not take more steps than the forward-difference
+    one it replaced: 10 for REDIM-1D at M = 101 and 10 for REDIM-2D at 61 x 61
+    (the configurations of the conftest fixtures)."""
+    histories = _recorded(monkeypatch, redim)
+    evolve_redim_1d(mm_model, (mm_bc.left_state, mm_bc.right_state), M=101, grad=mm_grad1)
+    evolve_redim_2d(mm_model, (0.0, 2.0), (0.0, 1.0), M1=61, M2=61, grad=mm_grad2,
+                    anchor_values=(float(mm_bc.left_state[2]), float(mm_bc.right_state[2])))
+    steps = [len(h) - 1 for h in histories]
+    assert len(steps) == 2 and steps[0] <= 10 and steps[1] <= 10, steps
+    assert all(h[-1][1] < 1e-8 for h in histories)
 
 
 def test_singular_step_matrix_carries_residual():
     # J = I / dtau makes the first step matrix I / dtau - J exactly zero
-    def jac(x, Fx):
+    def jac():
         return 0, np.full((1, 2), 1.0 / DTAU0, dtype=np.float32, order="F")
 
     with pytest.raises(ConvergenceError) as exc:
-        solve_steady(lambda x: x + 1.0, jac, np.zeros(2), 1e-8)
+        solve_steady(lambda x: (x + 1.0, jac), np.zeros(2), 1e-8)
     assert exc.value.residual == 1.0
 
 
