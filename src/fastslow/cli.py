@@ -24,6 +24,7 @@ from .core import (
     ReactionDiffusionModel,
     read_profile_csv,
     write_profile_csv,
+    write_rows_csv,
 )
 from .errors import (
     ConfigError,
@@ -186,18 +187,6 @@ def provenance(model: ReactionDiffusionModel, stage: str) -> str:
     return f"fastslow {__version__} | model={model.name} | {' '.join(parts)} | stage={stage}"
 
 
-def _fmt(v) -> str:
-    return FLOAT_FMT % v
-
-
-def write_rows_csv(path, header, rows, comment: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {comment}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # stages: each is one function, called by its subcommand and by the pipeline
 # ---------------------------------------------------------------------------
@@ -250,7 +239,7 @@ def slow_mesh(config: RunConfig, model, dec, z_eq):
 def write_mesh_csv(path, mesh, model) -> None:
     n_s = mesh.V.shape[1]
     header = [f"V{k+1}" for k in range(n_s)] + list(model.species)
-    rows = [list(v) + list(s) for v, s, ok in zip(mesh.V, mesh.states, mesh.converged) if ok]
+    rows = np.hstack([mesh.V, mesh.states])[mesh.converged]
     write_rows_csv(path, header, rows, provenance(model, "gql-mesh"))
 
 
@@ -288,7 +277,7 @@ def write_redim(path, dim: int, config: RunConfig, model, bc, grad) -> None:
         m = evolve_redim_1d(model, (bc.left_state, bc.right_state),
                             M=config.redim1d_points, grad=grad, tol=config.redim_tol)
         header = ["theta"]
-        rows = [[th] + list(s) for th, s in zip(m.theta_grid, m.states)]
+        rows = np.column_stack([m.theta_grid, m.states])
     else:
         lo, hi = model.working_box or (np.zeros(model.dimension), np.ones(model.dimension))
         m = evolve_redim_2d(
@@ -302,8 +291,8 @@ def write_redim(path, dim: int, config: RunConfig, model, bc, grad) -> None:
             anchor_values=(float(bc.left_state[2]), float(bc.right_state[2])),
         )
         header = ["theta1", "theta2"]
-        rows = [[t1, t2, t1, t2, m.Z_values[i, j]]
-                for i, t1 in enumerate(m.theta1_grid) for j, t2 in enumerate(m.theta2_grid)]
+        TH1, TH2 = (t.ravel() for t in np.meshgrid(m.theta1_grid, m.theta2_grid, indexing="ij"))
+        rows = np.column_stack([TH1, TH2, TH1, TH2, m.Z_values.ravel()])
     write_rows_csv(path, header + list(model.species), rows,
                    provenance(model, f"redim-{dim}d"))
 
@@ -311,7 +300,7 @@ def write_redim(path, dim: int, config: RunConfig, model, bc, grad) -> None:
 FASTTIME_HEADER = ["epsilon", "K", "dist", "t_enter", "bound", "ratio"]
 
 
-def fast_time_rows(config: RunConfig, model, dec, bc, modes, start=None, x0=None) -> list:
+def fast_time_rows(config: RunConfig, model, dec, bc, modes, start=None, x0=None) -> np.ndarray:
     """One fasttime.csv row per mode: the ODE transient from ``start`` (the
     right boundary state if None) and the PDE transient tracked at ``x0``
     (``fasttime_x0`` if None)."""
@@ -325,7 +314,7 @@ def fast_time_rows(config: RunConfig, model, dec, bc, modes, start=None, x0=None
                 x0=config.fasttime_x0 if x0 is None else x0)
         rows.append([report.epsilon, report.K, report.y0_distance,
                      report.t_enter, report.bound, report.ratio])
-    return rows
+    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +404,7 @@ def cmd_fast_time(config: RunConfig, args) -> int:
         write_rows_csv(args.out, FASTTIME_HEADER, rows,
                        provenance(model, f"fast-time-{args.mode}"))
     print(",".join(FASTTIME_HEADER))
-    print(",".join(_fmt(v) for v in rows[0]))
+    print(",".join(FLOAT_FMT % v for v in rows[0]))
     return 0
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "eval_source",
     "laplacian",
     "eval_full_rhs",
+    "write_rows_csv",
     "write_profile_csv",
     "read_profile_csv",
 ]
@@ -177,20 +178,20 @@ def interior_terms(model: ReactionDiffusionModel, states: np.ndarray, dx: float)
     return model.source(states[1:-1]), model.diffusion * lap
 
 
-def _provenance_lines(comment: str) -> list:
-    return [f"# {line}" for line in comment.splitlines() if line.strip()] if comment else []
+def write_rows_csv(path, header, rows, comment: str) -> None:
+    """Write ``# comment``, the header and a 2-D array of rows as CSV, 17
+    significant digits; a comment spanning lines is rejected."""
+    if "\n" in comment or "\r" in comment:
+        raise ContractViolationError(f"CSV comment must be one line, got {comment!r}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# {comment}\n" + ",".join(header) + "\n")
+        np.savetxt(fh, rows, fmt=FLOAT_FMT, delimiter=",")
 
 
 def write_profile_csv(path, profile: SpatialProfile, species, comment: str = "") -> None:
-    """Write a profile as CSV with header ``x,<species...>``, 17 significant digits."""
-    x = profile.grid.nodes
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in _provenance_lines(comment):
-            fh.write(line + "\n")
-        fh.write("x," + ",".join(species) + "\n")
-        for xi, row in zip(x, profile.states):
-            cells = [FLOAT_FMT % xi] + [FLOAT_FMT % v for v in row]
-            fh.write(",".join(cells) + "\n")
+    """Write a profile as CSV with header ``x,<species...>``."""
+    write_rows_csv(path, ["x", *species], np.column_stack([profile.grid.nodes, profile.states]),
+                   comment)
 
 
 def read_profile_csv(path) -> SpatialProfile:

@@ -112,12 +112,12 @@ def default_sample_states(model: ReactionDiffusionModel, extra=()) -> np.ndarray
     return np.vstack([verts] + extra) if extra else verts
 
 
-def build_surrogate(model: ReactionDiffusionModel, sample_states,
-                    mode: str = "least_squares") -> np.ndarray:
+def build_surrogate(model: ReactionDiffusionModel, sample_states) -> np.ndarray:
     """Fit the global linear surrogate T with T psi ~ F(psi).
 
-    ``exact`` solves the n-sample interpolation problem; ``least_squares``
-    minimizes the Frobenius misfit over >= n samples via normal equations.
+    Minimizes the Frobenius misfit over >= n samples via the normal equations
+    ``G T^T = Psi F^T``, ``G = Psi Psi^T``; on n samples this is the
+    interpolant.  An ill-conditioned ``G`` raises :class:`IllPosedSampleError`.
     """
     samples = np.array(sample_states, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != model.dimension:
@@ -125,26 +125,15 @@ def build_surrogate(model: ReactionDiffusionModel, sample_states,
             f"sample array must be (m, {model.dimension}), got {samples.shape}"
         )
     n = model.dimension
+    if samples.shape[0] < n:
+        raise ContractViolationError(f"the surrogate needs at least {n} samples, "
+                                     f"got {samples.shape[0]}")
     Psi = samples.T                               # (n, m), one sample per column
     F = np.stack([eval_source(model, s) for s in samples], axis=1)
-    if mode == "exact":
-        if samples.shape[0] != n:
-            raise ContractViolationError(
-                f"exact mode needs exactly {n} samples, got {samples.shape[0]}"
-            )
-        if np.linalg.cond(Psi) > COND_LIMIT:
-            raise IllPosedSampleError("sample matrix is (near) singular")
-        return F @ np.linalg.inv(Psi)
-    if mode == "least_squares":
-        if samples.shape[0] < n:
-            raise ContractViolationError(
-                f"least_squares mode needs at least {n} samples"
-            )
-        if np.linalg.cond(Psi) > COND_LIMIT:
-            raise IllPosedSampleError("sample matrix is rank deficient")
-        G = Psi @ Psi.T
-        return np.linalg.solve(G, Psi @ F.T).T
-    raise ContractViolationError(f"unknown surrogate mode {mode!r}")
+    G = Psi @ Psi.T
+    if np.linalg.cond(G) > COND_LIMIT:
+        raise IllPosedSampleError("sample matrix is rank deficient")
+    return np.linalg.solve(G, Psi @ F.T).T
 
 
 def spectral_split(T, min_gap_ratio: float = 10.0) -> GqlDecomposition:
@@ -173,11 +162,12 @@ def spectral_split(T, min_gap_ratio: float = 10.0) -> GqlDecomposition:
     ratios = mags[1:] / mags[:-1]
     split = int(np.argmax(ratios)) + 1
     gap = float(ratios[split - 1])
+    # a conjugate pair has bitwise equal magnitudes, a ratio of 1, so a gap
+    # above min_gap_ratio > 1 never separates one
     if gap < min_gap_ratio:
         raise NoDecompositionError(
             f"largest spectral gap {gap:.3g} is below min_gap_ratio {min_gap_ratio:g}"
         )
-    _check_conjugate_closure(lam, split)
 
     n_s = split
     n_f = n - split
@@ -216,18 +206,6 @@ def spectral_split(T, min_gap_ratio: float = 10.0) -> GqlDecomposition:
         T=T, eigenvalues=lam, split_index=split, n_f=n_f, n_s=n_s,
         Z=Z, Z_tilde=Z_tilde, epsilon=epsilon,
     )
-
-
-def _check_conjugate_closure(lam_sorted, split):
-    """Each group must be closed under complex conjugation."""
-    for group in (lam_sorted[:split], lam_sorted[split:]):
-        complex_ = group[np.abs(group.imag) > 1e-12 * (1.0 + np.abs(group))]
-        for lv in complex_:
-            match = np.isclose(complex_, lv.conjugate(), rtol=1e-9, atol=1e-12)
-            if not match.any():
-                raise SplitConflictError(
-                    "a complex-conjugate pair straddles the fast/slow split"
-                )
 
 
 def to_fast_slow_coords(dec: GqlDecomposition, z):

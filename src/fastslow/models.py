@@ -7,7 +7,7 @@ closed-form behaviour and serves as a test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,12 +45,6 @@ class MichaelisMentenParams:
             raise ContractViolationError("L1 = 1 destroys the isolated equilibrium")
         if self.delta < 0.0:
             raise ContractViolationError("diffusion coefficient must be >= 0")
-
-    def asdict(self) -> dict:
-        return {
-            "L1": self.L1, "L2": self.L2, "L3": self.L3,
-            "L4": self.L4, "mu": self.mu, "delta": self.delta,
-        }
 
 
 def michaelis_menten_source(params: MichaelisMentenParams, z) -> np.ndarray:
@@ -99,7 +93,7 @@ def michaelis_menten_model(params: MichaelisMentenParams | None = None) -> React
         jac=lambda z: michaelis_menten_jacobian(p, z),
         diffusion=np.full(3, p.delta),
         working_box=(lo, hi),
-        params=p.asdict(),
+        params=asdict(p),
     )
 
 

@@ -74,11 +74,14 @@ def pseudo_inverse(Psi_theta) -> np.ndarray:
 
 
 def tangent_projector(Psi_theta) -> np.ndarray:
-    """Orthogonal projector I - Psi Psi^+ onto the normal space of the graph."""
+    """Orthogonal projector I - Psi Psi^+ onto the normal space of the graph,
+    formed as I - Q Q^T from an orthonormal basis Q of the tangents."""
     P = np.array(Psi_theta, dtype=float)
     if P.ndim == 1:
         P = P[:, None]
-    return np.eye(P.shape[0]) - P @ pseudo_inverse(P)
+    pseudo_inverse(P)  # raises DegenerateParametrizationError if P is rank deficient
+    Q = np.linalg.qr(P)[0]
+    return np.eye(P.shape[0]) - Q @ Q.T
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +331,11 @@ def evolve_redim_2d(model: ReactionDiffusionModel, theta1_range, theta2_range,
       the free edges into the solution, which is visible wherever the
       manifold hugs a theta2 edge.
     - ``"all"``: every boundary node (fully Dirichlet relaxation).
-    - ``"none"``: free relaxation of the whole grid (useful without
-      diffusion, where the slow manifold is pointwise attracting and needs
-      no boundary data).
+    - ``"none"``: free relaxation of the whole grid, with no boundary
+      data.  Only for a model without diffusion, where the slow manifold
+      is pointwise attracting; with diffusion it does not converge (the
+      enzyme model at 61 x 61, delta = 0.01, raises ConvergenceError
+      after 200 PTC steps).
     """
     if hold not in ("theta1", "all", "none"):
         raise ContractViolationError(f"unknown hold mode {hold!r}")

@@ -61,8 +61,12 @@ def band_assembler(shape, terms):
     def assemble(weights):
         ab[:] = 0.0
         for (P, W), w in zip(terms, weights):
-            Wa = ({l: np.pad(np.diagonal(w, l, 1, 2), ((0, 0), (max(-l, 0), max(l, 0))))
-                   for l in dense} if W is None else {l: w * c for l, c in W.items()})
+            if W is None:  # diagonal l of the dense blocks, zero where undefined
+                Wa = {l: np.zeros((n0, n1)) for l in dense}
+                for l, c in Wa.items():
+                    c[:, max(-l, 0):n1 - max(l, 0)] = np.diagonal(w, l, 1, 2)
+            else:
+                Wa = {l: w * c for l, c in W.items()}
             for k, p in P.items():
                 for l, c in Wa.items():  # J[r, r + s] = v[r]
                     s, v = k * n1 + l, (p[:, None] * c).ravel()

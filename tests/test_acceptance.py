@@ -40,7 +40,7 @@ def test_acceptance_02_gql_exactness_linear():
     model = linear_model(A, np.zeros(3))
     rng = np.random.default_rng(101)
     samples = rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
-    T = build_surrogate(model, samples, mode="exact")
+    T = build_surrogate(model, samples)
     assert np.linalg.norm(T - A) <= 1e-10
     dec = spectral_split(T)
     assert np.abs(dec.Zt_f @ T @ dec.Z_s).max() <= 1e-8

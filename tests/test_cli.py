@@ -169,6 +169,23 @@ def test_subcommands_write_the_pipeline_artifacts(tmp_path):
         assert body(out) == [rows[0], row]
 
 
+def test_every_csv_has_one_comment_line_before_its_header(tmp_path):
+    cfg = _write_config(tmp_path)
+    paths = run_pipeline(load_config(cfg), str(tmp_path / "pipe"))
+    history, fasttime = tmp_path / "history.csv", tmp_path / "fasttime.csv"
+    assert main(["pde-solve", "--config", cfg, "--out", str(tmp_path / "profile.csv"),
+                 "--history", str(history)]) == 0
+    assert main(["fast-time", "--config", cfg, "--mode", "ode", "--out", str(fasttime)]) == 0
+    csvs = [Path(p) for p in paths.values() if p.endswith(".csv")] + [history, fasttime]
+    assert len(csvs) == 7
+    for path in csvs:
+        lines = path.read_text().splitlines()
+        assert lines[0].startswith("# fastslow ") and not lines[1].startswith("#"), path.name
+        assert not any(line.startswith("#") for line in lines[1:]), path.name
+        rows = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+        assert rows.shape[0] == len(lines) - 2, path.name
+
+
 def test_pde_solve_roundtrip(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     out = tmp_path / "profile.csv"

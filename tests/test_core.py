@@ -10,6 +10,7 @@ from fastslow.core import (
     fd_jacobian,
     read_profile_csv,
     write_profile_csv,
+    write_rows_csv,
 )
 from fastslow.errors import BoundaryNodeError, ContractViolationError
 from fastslow.models import michaelis_menten_model
@@ -136,3 +137,37 @@ def test_profile_csv_roundtrip(tmp_path_factory, n_nodes, n_species):
     back = read_profile_csv(path)
     assert np.array_equal(back.states, profile.states)
     assert back.grid.node_count == n_nodes
+
+
+@pytest.mark.parametrize("comment", ["", "fastslow | stage=pde"])
+def test_profile_csv_has_one_comment_line_before_the_header(tmp_path, comment):
+    """``np.loadtxt(skiprows=2)`` readers rely on it: without the ``#`` line
+    they would drop the first data row."""
+    path = tmp_path / "profile.csv"
+    profile = SpatialProfile(Grid1D(4), np.arange(12.0).reshape(4, 3))
+    write_profile_csv(path, profile, ("X", "Y", "Z"), comment)
+    lines = path.read_text().splitlines()
+    assert lines[0] == f"# {comment}"
+    assert lines[1] == "x,X,Y,Z"
+    assert [line for line in lines if line.startswith("#")] == lines[:1]
+    data = np.loadtxt(path, delimiter=",", skiprows=2)
+    assert np.array_equal(data[:, 1:], profile.states)
+
+
+def test_rows_csv_matches_value_by_value_formatting(tmp_path):
+    rng = np.random.default_rng(0)
+    rows = rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-300, 300, (50, 4))
+    rows[0] = [-0.0, np.inf, 5e-324, 0.1]
+    path = tmp_path / "rows.csv"
+    write_rows_csv(path, ["a", "b", "c", "d"], rows, "note")
+    expect = ["# note", "a,b,c,d"] + [",".join("%.17g" % v for v in row) for row in rows]
+    assert path.read_text() == "\n".join(expect) + "\n"
+
+
+@pytest.mark.parametrize("comment", ["two\nlines", "trailing\n", "carriage\rreturn"])
+def test_multiline_csv_comment_rejected(tmp_path, comment):
+    profile = SpatialProfile(Grid1D(3), np.zeros((3, 1)))
+    with pytest.raises(ContractViolationError):
+        write_rows_csv(tmp_path / "rows.csv", ["a"], np.zeros((2, 1)), comment)
+    with pytest.raises(ContractViolationError):
+        write_profile_csv(tmp_path / "profile.csv", profile, ("s",), comment)

@@ -46,7 +46,7 @@ def test_exact_mode_recovers_linear_field():
     m, A, _ = _random_linear()
     rng = np.random.default_rng(11)
     samples = rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
-    T = build_surrogate(m, samples, mode="exact")
+    T = build_surrogate(m, samples)
     assert np.linalg.norm(T - A) <= 1e-12 * np.linalg.norm(A)
 
 
@@ -54,7 +54,7 @@ def test_least_squares_recovers_linear_field():
     m, A, _ = _random_linear(seed=5)
     rng = np.random.default_rng(13)
     samples = rng.normal(size=(12, 3))
-    T = build_surrogate(m, samples, mode="least_squares")
+    T = build_surrogate(m, samples)
     assert np.linalg.norm(T - A) <= 1e-10 * np.linalg.norm(A)
 
 
@@ -62,13 +62,25 @@ def test_exact_mode_duplicate_samples_rejected():
     m, _, _ = _random_linear()
     samples = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(IllPosedSampleError):
-        build_surrogate(m, samples, mode="exact")
+        build_surrogate(m, samples)
 
 
 def test_exact_mode_sample_count_enforced():
     m, _, _ = _random_linear()
     with pytest.raises(ContractViolationError):
-        build_surrogate(m, np.eye(3)[:2], mode="exact")
+        build_surrogate(m, np.eye(3)[:2])
+
+
+@pytest.mark.parametrize("c", [1e6, 1e8])
+def test_near_dependent_samples_rejected(c):
+    """A third sample column within noise / c of the sum of the other two
+    puts cond(Psi Psi^T) at 9.8e12 (c = 1e6) and 2.6e18 (c = 1e8)."""
+    m, _, _ = _random_linear()
+    rng = np.random.default_rng(3)
+    samples = rng.normal(size=(10, 3))
+    samples[:, 2] = samples[:, 0] + samples[:, 1] + rng.normal(size=10) / c
+    with pytest.raises(IllPosedSampleError):
+        build_surrogate(m, samples)
 
 
 def test_mm_surrogate_has_one_fast_eigenvalue(mm_model, mm_eq):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fastslow.core import Grid1D, SpatialProfile
 from fastslow.errors import (
@@ -78,6 +78,7 @@ def test_projector_matches_outer_product_form():
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=1, max_value=2))
+@example(729, 2)  # 1.68e-12 off idempotent when the projector was I - P P^+
 def test_projector_identities(seed, m):
     rng = np.random.default_rng(seed)
     P = rng.normal(size=(3, m))
