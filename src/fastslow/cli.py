@@ -531,12 +531,13 @@ COMMANDS = {
 
 
 def _flag_overrides(args) -> dict:
+    # a flag given as 0 or "" is passed on, so RunConfig's checks see it
     updates = {}
-    if getattr(args, "model", None):
+    if getattr(args, "model", None) is not None:
         updates["model"] = args.model
-    if getattr(args, "nodes", None):
+    if getattr(args, "nodes", None) is not None:
         updates["nodes"] = args.nodes
-    if getattr(args, "tol", None) and args.command == "pde-solve":
+    if getattr(args, "tol", None) is not None and args.command == "pde-solve":
         updates["steady_tol"] = args.tol
     return updates
 

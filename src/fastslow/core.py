@@ -149,7 +149,7 @@ def eval_source(model: ReactionDiffusionModel, z) -> np.ndarray:
             f"state length {z.shape[-1]} does not match model dimension {model.dimension}"
         )
     out = np.asarray(model.source(z), dtype=float)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ContractViolationError("source produced non-finite components")
     return out
 

@@ -33,6 +33,7 @@ between the two steps that straddle sqrt(eps).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,10 +145,12 @@ def _measure(dec, model, y, track, dt, max_time, terms, solver):
 
     One ARS(2,2,2) step: ``terms(Y)`` gives the explicit source ``f(Y)`` and
     the transport ``L Y``, and ``solver(dt)`` the implicit-stage solve
-    ``b -> (I - GAMMA dt L)^(-1) b``.  The terms of each new state serve
-    three uses: the entry test of ``y[track]``, a K sample if it has not
-    entered, and the first stage of the next step.  The default ``dt`` is
-    :func:`_default_dt`.
+    ``b -> (I - GAMMA dt L)^(-1) b``.  Without transport (the ODE) ``solver``
+    is None: the implicit stages are the identity, ``terms`` gives the
+    transport 0.0 and no K sample is taken.  The terms of each new state
+    serve three uses: the entry test of ``y[track]``, a K sample if it has
+    not entered, and the first stage of the next step.  The default ``dt``
+    is :func:`_default_dt`.
     """
     threshold = float(np.sqrt(dec.epsilon))
     z0 = y[track]
@@ -159,10 +162,14 @@ def _measure(dec, model, y, track, dt, max_time, terms, solver):
     _check_dt(dec, dt)
     if max_time is None:
         max_time = 200.0 / dec.fast_rate
-    solve = solver(dt)
+    solve = (lambda b: b) if solver is None else solver(dt)
+    # hoisted out of the loop: the decomposition's properties recompute on
+    # each access
+    Zt_f, fast_rate = dec.Zt_f, dec.fast_rate
+    gamma_dt, transport_dt, rest = GAMMA * dt, (1.0 - GAMMA) * dt, 1.0 - DELTA
     t = K = path = 0.0
     steps = 0
-    U0 = U_prev = dec.Zt_f @ z0
+    U0 = U_prev = Zt_f @ z0
     # an unstable step overflows; the finiteness check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         F1, L1 = terms(y)
@@ -171,18 +178,21 @@ def _measure(dec, model, y, track, dt, max_time, terms, solver):
                 raise ConvergenceError(
                     f"tracked state did not enter the slow neighborhood by t = {max_time:g}"
                 )
-            K = max(K, _transport_ratio_max(dec, F1, L1))
-            F2, L2 = terms(solve(y + (GAMMA * dt) * F1))
-            y = solve(y + dt * (DELTA * F1 + (1.0 - DELTA) * F2) + ((1.0 - GAMMA) * dt) * L2)
+            if solver is not None:
+                K = max(K, _transport_ratio_max(dec, F1, L1))
+            F2, L2 = terms(solve(y + gamma_dt * F1))
+            y = solve(y + dt * (DELTA * F1 + rest * F2) + transport_dt * L2)
             steps += 1
-            if not np.all(np.isfinite(y)):
+            if not np.isfinite(y).all():
                 raise DivergenceError(
                     f"transient became non-finite by t = {t + dt:g} (dt = {dt:g})")
-            U = dec.Zt_f @ y[track]
-            path += float(np.linalg.norm(U - U_prev))
+            U = Zt_f @ y[track]
+            dU = U - U_prev
+            path += math.sqrt(dU @ dU)  # np.linalg.norm's formula for a real vector
             U_prev = U
             F1, L1 = terms(y)
-            g_new = float(np.linalg.norm(dec.Zt_f @ F1[track]) / dec.fast_rate)
+            gf = Zt_f @ F1[track]
+            g_new = math.sqrt(gf @ gf) / fast_rate
             if g_new < threshold:
                 break
             g = g_new
@@ -214,7 +224,7 @@ def measure_fast_time_ode(dec: GqlDecomposition, model: ReactionDiffusionModel,
     """Integrate dz/dt = phi(z) and time the entry into the slow neighborhood:
     the PDE measurement on one node without transport."""
     return _measure(dec, model, as_state(z0, model.dimension), ..., dt, max_time,
-                    lambda y: (model.source(y), 0.0), lambda dt: lambda b: b)
+                    lambda y: (model.source(y), 0.0), None)
 
 
 def _transport_ratio_max(dec, source, transport):

@@ -53,32 +53,38 @@ def michaelis_menten_source(params: MichaelisMentenParams, z) -> np.ndarray:
     The Z component is the (1/L2)-weighted combination of the X balance and
     mu times the Y balance, which makes (0, sqrt(3)-1, sqrt(3)-1) an exact
     equilibrium for the default parameters.
+
+    Every leading shape takes the same path: the species are unpacked from
+    ``z.T`` and written back through ``out.T``, so a single state runs on
+    numpy scalars and a stack on arrays, with the same operations.
     """
     z = np.asarray(z, dtype=float)
-    X, Y, Z = z[..., 0], z[..., 1], z[..., 2]
+    X, Y, Z = z.T
     p = params
     fY = -p.L3 * Y * Z + (p.L4 / p.L2) * (1.0 - Y)
-    fX = -X * Z + p.L1 * (1.0 - Z - p.mu * (1.0 - Y))
-    fZ = (1.0 / p.L2) * ((-X * Z + 1.0 - Z - p.mu * (1.0 - Y)) + p.mu * fY)
-    return np.stack([fX, fY, fZ], axis=-1)
+    out = np.empty(z.shape)
+    out.T[0] = -X * Z + p.L1 * (1.0 - Z - p.mu * (1.0 - Y))
+    out.T[1] = fY
+    out.T[2] = (1.0 / p.L2) * ((-X * Z + 1.0 - Z - p.mu * (1.0 - Y)) + p.mu * fY)
+    return out
 
 
 def michaelis_menten_jacobian(params: MichaelisMentenParams, z) -> np.ndarray:
+    """Analytic Jacobian of :func:`michaelis_menten_source`, shape ``(..., 3, 3)``,
+    on the same single path: ``J[c, r]`` below is entry (r, c) of each matrix."""
     z = np.asarray(z, dtype=float)
-    X, Y, Z = z[..., 0], z[..., 1], z[..., 2]
+    X, Y, Z = z.T
     p = params
-    o = np.zeros_like(X)
     dY_dY = -p.L3 * Z - p.L4 / p.L2
     dY_dZ = -p.L3 * Y
-    row_x = np.stack([-Z, p.L1 * p.mu + o, -X - p.L1], axis=-1)
-    row_y = np.stack([o, dY_dY + o, dY_dZ], axis=-1)
-    row_z = np.stack(
-        [-Z / p.L2,
-         (p.mu / p.L2) * (1.0 + dY_dY),
-         (1.0 / p.L2) * (-X - 1.0 + p.mu * dY_dZ)],
-        axis=-1,
-    )
-    return np.stack([row_x, row_y, row_z], axis=-2)
+    out = np.empty(z.shape + (3,))
+    J = out.T
+    J[0, 0], J[1, 0], J[2, 0] = -Z, p.L1 * p.mu, -X - p.L1
+    J[0, 1], J[1, 1], J[2, 1] = 0.0, dY_dY, dY_dZ
+    J[0, 2] = -Z / p.L2
+    J[1, 2] = (p.mu / p.L2) * (1.0 + dY_dY)
+    J[2, 2] = (1.0 / p.L2) * (-X - 1.0 + p.mu * dY_dZ)
+    return out
 
 
 def michaelis_menten_model(params: MichaelisMentenParams | None = None) -> ReactionDiffusionModel:

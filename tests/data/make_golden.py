@@ -25,15 +25,31 @@ entry-time loop was explicit RK4; ``tests/test_fasttime.py`` checks the
 current default-step entry times against it.  The N = 401 run takes about
 10 s.
 
-Usage: PYTHONPATH=src python tests/data/make_golden.py [--mesh | --fasttime] [out.npz]
+With ``--reports`` it writes the default-step ``FastTimeReport`` fields to
+``golden_fasttime_reports.npz``: ``starts`` holds (2, 0, 1) and
+``REPORT_STARTS`` states drawn uniformly from the working box by
+``REPORT_SEED``, rejecting any already inside the slow neighborhood;
+``pde_cases`` holds the PDE's (N, x0) pairs.  ``ode`` and ``pde`` hold the
+float fields named in ``fields``, one row per case, and ``ode_steps`` and
+``pde_steps`` the step counts.  The committed file was written at commit
+3156dd7; ``tests/test_fasttime.py`` checks that the current measurement
+returns the same reports.
+
+Usage: PYTHONPATH=src python tests/data/make_golden.py [--mesh | --fasttime | --reports] [out.npz]
 """
 
+import dataclasses
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from fastslow.fasttime import measure_fast_time_ode, measure_fast_time_pde
+from fastslow.fasttime import (
+    FastTimeReport,
+    measure_fast_time_ode,
+    measure_fast_time_pde,
+    slow_neighborhood_test,
+)
 from fastslow.gql import (
     build_surrogate,
     default_sample_states,
@@ -78,9 +94,47 @@ def write_fasttime(out, model, z_eq):
     np.savez(out, ode=measure_fast_time_ode(dec, model, right, dt=dt).t_enter, dt=dt, **pde)
 
 
+REPORT_SEED = 1
+REPORT_STARTS = 64
+REPORT_PDE_CASES = ((101, 0.8), (401, 0.2), (401, 0.5), (401, 0.8))
+REPORT_FLOAT_FIELDS = tuple(f.name for f in dataclasses.fields(FastTimeReport)
+                            if f.type == "float")
+
+
+def report_starts(dec, model, seed=REPORT_SEED, count=REPORT_STARTS):
+    """(2, 0, 1), then ``count`` seeded working-box states outside the slow
+    neighborhood."""
+    rng = np.random.default_rng(seed)
+    lo, hi = model.working_box
+    out = [np.array([2.0, 0.0, 1.0])]
+    while len(out) < count + 1:
+        z = rng.uniform(lo, hi)
+        if not slow_neighborhood_test(dec, model, z):
+            out.append(z)
+    return np.array(out)
+
+
+def write_reports(out, model, z_eq):
+    dec = spectral_split(build_surrogate(model, default_sample_states(model, extra=[z_eq])))
+    bc = BoundaryConditions(left_state=z_eq, right_state=np.array([2.0, 0.0, 1.0]))
+    starts = report_starts(dec, model)
+    ode = [measure_fast_time_ode(dec, model, z0) for z0 in starts]
+    pde = [measure_fast_time_pde(dec, model, bc, SolverSettings(node_count=n), x0=x0)
+           for n, x0 in REPORT_PDE_CASES]
+
+    def floats(reports):
+        return np.array([[getattr(r, f) for f in REPORT_FLOAT_FIELDS] for r in reports])
+
+    np.savez(out, fields=np.array(REPORT_FLOAT_FIELDS), starts=starts,
+             pde_cases=np.array(REPORT_PDE_CASES), ode=floats(ode),
+             ode_steps=np.array([r.steps for r in ode]), pde=floats(pde),
+             pde_steps=np.array([r.steps for r in pde]))
+
+
 WRITERS = {"": ("golden.npz", write_steady),
            "--mesh": ("golden_mesh.npz", write_mesh),
-           "--fasttime": ("golden_fasttime.npz", write_fasttime)}
+           "--fasttime": ("golden_fasttime.npz", write_fasttime),
+           "--reports": ("golden_fasttime_reports.npz", write_reports)}
 
 
 def main(argv):

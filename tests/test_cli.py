@@ -229,6 +229,24 @@ def test_pde_solve_non_convergence_exits_3(tmp_path, capsys):
     assert "stationary" in capsys.readouterr().err
 
 
+def test_pde_solve_zero_nodes_flag_exits_2(tmp_path, capsys):
+    """A zero flag is checked like any other value, not dropped for the
+    config's 51 nodes."""
+    out = tmp_path / "profile.csv"
+    assert main(["pde-solve", "--config", _write_config(tmp_path), "--nodes", "0",
+                 "--out", str(out)]) == 2
+    assert "nodes must be an integer >= 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pde_solve_zero_tol_flag_exits_3(tmp_path, capsys):
+    """``--tol 0`` ends like ``steady_tol: 0`` in the config."""
+    out = tmp_path / "profile.csv"
+    assert main(["pde-solve", "--config", _write_config(tmp_path), "--tol", "0",
+                 "--out", str(out)]) == 3
+    assert "stationary" in capsys.readouterr().err
+
+
 def test_pipeline_stops_at_gql_on_impossible_gap(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"min_gap_ratio": 1e6})
     code = main(["pipeline", "--config", cfg, "--out-dir", str(tmp_path / "out")])

@@ -21,6 +21,7 @@ from fastslow.models import MichaelisMentenParams, linear_model, michaelis_mente
 from fastslow.pde import BoundaryConditions, SolverSettings, linear_initial_profile
 
 GOLDEN = Path(__file__).parent / "data" / "golden_fasttime.npz"
+REPORTS = Path(__file__).parent / "data" / "golden_fasttime_reports.npz"
 
 YEQ = np.sqrt(3.0) - 1.0
 Z_EQ = np.array([0.0, YEQ, YEQ])
@@ -286,6 +287,45 @@ def test_pde_evaluates_the_source_twice_per_step(mm_dec, mm_model, mm_bc):
     assert calls[:end] == [1, N - 2] + [N - 2, N - 2] * steps
     assert sum(calls[2:end]) == steps * 2 * (N - 2)
     assert N - 2 not in calls[end:]  # the fibre anchor evaluates single states
+
+
+def test_ode_evaluates_the_source_twice_per_step(mm_dec, mm_model):
+    """The ODE twin of the PDE call pattern, all on single states: the start
+    check, the start's first terms, then each step's second stage and new
+    state.  The fibre anchor's (1, 3) calls come after them.  Without
+    transport no K is sampled, so K is exactly 0."""
+    shapes = []
+
+    def source(z):
+        shapes.append(np.shape(z))
+        return mm_model.source(z)
+
+    counted = dataclasses.replace(mm_model, source=source)
+    report = measure_fast_time_ode(mm_dec.value, counted, Z_RIGHT)
+    end = 2 + 2 * report.steps
+    assert report.steps > 0 and report.K == 0.0
+    assert shapes.count((3,)) == end
+    assert shapes[:end] == [(3,)] * end
+    assert shapes[end:] and set(shapes[end:]) == {(1, 3)}
+
+
+def test_reports_match_the_pinned_reports(mm_dec, mm_model, mm_bc):
+    """Default-step reports of the ODE from (2, 0, 1) and 64 seeded starts and
+    of the PDE at (N, x0) = (101, 0.8), (401, 0.2), (401, 0.5) and
+    (401, 0.8), against ``tests/data/make_golden.py --reports``: the same
+    step counts, every float field within 1e-12 relative."""
+    golden = np.load(REPORTS)
+    fields = [str(f) for f in golden["fields"]]
+    dec = mm_dec.value
+    cases = {
+        "ode": [measure_fast_time_ode(dec, mm_model, z0) for z0 in golden["starts"]],
+        "pde": [measure_fast_time_pde(dec, mm_model, mm_bc, SolverSettings(node_count=int(n)),
+                                      x0=float(x0)) for n, x0 in golden["pde_cases"]],
+    }
+    for key, reports in cases.items():
+        assert [r.steps for r in reports] == golden[f"{key}_steps"].tolist(), key
+        floats = np.array([[getattr(r, f) for f in fields] for r in reports])
+        np.testing.assert_allclose(floats, golden[key], rtol=1e-12, atol=0.0, err_msg=key)
 
 
 def test_source_turning_non_finite_raises_divergence():

@@ -8,6 +8,7 @@ from fastslow.models import (
     MichaelisMentenParams,
     equilibrium,
     linear_model,
+    michaelis_menten_jacobian,
     michaelis_menten_model,
     michaelis_menten_source,
 )
@@ -38,6 +39,30 @@ def test_param_validation():
 def test_source_values(z, expected):
     out = michaelis_menten_source(MichaelisMentenParams(), np.array(z))
     assert out == pytest.approx(expected, abs=1e-12)
+
+
+BOX_STATE = st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(z=BOX_STATE, k=st.integers(1, 4), m=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_kernels_are_shape_invariant(z, k, m, seed, data):
+    """One code path for every leading shape: a state alone, as a (1, 3) row
+    and inside a (k, m, 3) stack of other working-box states gives the same
+    source and Jacobian bit for bit."""
+    p = MichaelisMentenParams()
+    z = np.array(z)
+    stack = np.random.default_rng(seed).uniform([0.0, 0.0, 0.0], [2.0, 1.0, 1.0],
+                                                size=(k, m, 3))
+    i, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, m - 1))
+    stack[i, j] = z
+    for kernel, shape in ((michaelis_menten_source, (3,)),
+                          (michaelis_menten_jacobian, (3, 3))):
+        single = kernel(p, z)
+        assert single.shape == shape
+        assert np.array_equal(kernel(p, z[None]), single[None])
+        assert np.array_equal(kernel(p, stack)[i, j], single)
 
 
 def test_equilibrium_default():
