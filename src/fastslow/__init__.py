@@ -43,7 +43,6 @@ from .redim import (  # noqa: F401
 )
 from .fasttime import (  # noqa: F401
     FastTimeReport,
-    estimate_K,
     measure_fast_time_ode,
     measure_fast_time_pde,
     slow_neighborhood_test,

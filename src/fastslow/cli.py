@@ -143,9 +143,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     raw.update(overrides or {})
     for key in ("redim2d_points", "fasttime_start"):
-        if key in raw:
-            if not isinstance(raw[key], list):
-                raise ConfigError(f"{key} must be a list, got {raw[key]!r}")
+        if isinstance(raw.get(key), list):
             raw[key] = tuple(raw[key])
     try:
         return RunConfig(**raw)

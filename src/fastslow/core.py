@@ -83,13 +83,6 @@ class SpatialProfile:
         states.setflags(write=False)
         object.__setattr__(self, "states", states)
 
-    @property
-    def dimension(self) -> int:
-        return self.states.shape[1]
-
-    def state(self, node_index: int) -> np.ndarray:
-        return self.states[node_index]
-
 
 @dataclass(frozen=True)
 class ReactionDiffusionModel:

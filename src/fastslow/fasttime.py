@@ -56,7 +56,6 @@ __all__ = [
     "slow_neighborhood_test",
     "measure_fast_time_ode",
     "measure_fast_time_pde",
-    "estimate_K",
 ]
 
 
@@ -100,9 +99,11 @@ def _default_dt(dec: GqlDecomposition) -> float:
     return min(dec.epsilon / (20.0 * dec.slow_rate), 1.0 / float(np.abs(dec.eigenvalues).max()))
 
 
-def _check_dt(dec: GqlDecomposition, dt: float) -> None:
-    if dt <= 0.0:
-        raise ContractViolationError("dt must be positive")
+def _check_step(dec: GqlDecomposition, dt: float, max_time: float) -> None:
+    if not 0.0 < dt < math.inf:
+        raise ContractViolationError(f"dt must be finite and positive, got {dt!r}")
+    if not 0.0 < max_time < math.inf:
+        raise ContractViolationError(f"max_time must be finite and positive, got {max_time!r}")
     if dt * dec.slow_rate > dec.epsilon / 10.0 * (1.0 + 1e-12):
         raise ContractViolationError(
             "dt does not resolve the fast scale (needs dt * slow_rate <= eps/10)"
@@ -159,9 +160,9 @@ def _measure(dec, model, y, track, dt, max_time, terms, solver):
         raise ContractViolationError("the start state already lies in the slow neighborhood")
     if dt is None:
         dt = _default_dt(dec)
-    _check_dt(dec, dt)
     if max_time is None:
         max_time = 200.0 / dec.fast_rate
+    _check_step(dec, dt, max_time)
     solve = (lambda b: b) if solver is None else solver(dt)
     # hoisted out of the loop: the decomposition's properties recompute on
     # each access
@@ -232,8 +233,6 @@ def _transport_ratio_max(dec, source, transport):
     |Zt_f phi| (scale free), from the source phi and transport L = D Lap of
     :func:`interior_terms`; 0 for an all-zero transport.  A row with zero
     source, such as a held end row, never lies outside."""
-    if not np.any(transport):
-        return 0.0
     Lf = transport @ dec.Zt_f.T
     gf = source @ dec.Zt_f.T
     gn = np.linalg.norm(gf, axis=1)
@@ -242,17 +241,6 @@ def _transport_ratio_max(dec, source, transport):
         return 0.0
     Ln = np.linalg.norm(Lf, axis=1)
     return float((Ln[outside] / gn[outside]).max())
-
-
-def estimate_K(dec: GqlDecomposition, model: ReactionDiffusionModel,
-               profile_snapshots) -> float:
-    """Transport-to-fast-reaction ratio over transient profile snapshots;
-    0 if no sampled state lies outside the slow neighborhood."""
-    K = 0.0
-    for snap in profile_snapshots:
-        terms = interior_terms(model, snap.states, snap.grid.spacing)
-        K = max(K, _transport_ratio_max(dec, *terms))
-    return K
 
 
 def measure_fast_time_pde(dec: GqlDecomposition, model: ReactionDiffusionModel,

@@ -151,8 +151,9 @@ def spectral_split(T, min_gap_ratio: float = 10.0) -> GqlDecomposition:
         raise ContractViolationError("T must be square")
     if n < 2:
         raise ContractViolationError("need dimension >= 2 to split")
-    if min_gap_ratio <= 1.0:
-        raise ContractViolationError("min_gap_ratio must exceed 1")
+    if not 1.0 < min_gap_ratio < np.inf:
+        raise ContractViolationError(f"min_gap_ratio must be finite and > 1, "
+                                     f"got {min_gap_ratio!r}")
 
     lam = np.linalg.eigvals(T)
     lam = lam[np.argsort(np.abs(lam), kind="stable")]
@@ -183,10 +184,7 @@ def spectral_split(T, min_gap_ratio: float = 10.0) -> GqlDecomposition:
             f"Schur ordering selected {sdim} fast eigenvalues, expected {n_f}"
         )
     R11, R12, R22 = R[:n_f, :n_f], R[:n_f, n_f:], R[n_f:, n_f:]
-    if n_f and n_s:
-        X = sla.solve_sylvester(R11, -R22, -R12)
-    else:
-        X = np.zeros((n_f, n_s))
+    X = sla.solve_sylvester(R11, -R22, -R12)
     W = np.eye(n)
     W[:n_f, n_f:] = X
     W_inv = np.eye(n)

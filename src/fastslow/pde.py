@@ -17,7 +17,6 @@ from .core import (
     SpatialProfile,
     as_state,
     interior_terms,
-    laplacian,
 )
 from .errors import ContractViolationError
 from .steady import band_assembler, difference_matrix, relax_free
@@ -26,7 +25,6 @@ __all__ = [
     "BoundaryConditions",
     "SolverSettings",
     "SteadyResult",
-    "laplacian",
     "linear_initial_profile",
     "integrate_to_steady",
 ]
@@ -54,8 +52,9 @@ class SolverSettings:
     def __post_init__(self):
         if self.node_count < 3:
             raise ContractViolationError("node_count must be >= 3")
-        if self.steady_tol < 0.0:
-            raise ContractViolationError("steady_tol must be >= 0")
+        if not 0.0 <= self.steady_tol < np.inf:
+            raise ContractViolationError(
+                f"steady_tol must be finite and >= 0, got {self.steady_tol!r}")
 
 
 @dataclass(frozen=True)

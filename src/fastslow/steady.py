@@ -20,7 +20,7 @@ import scipy.linalg as sla
 
 from .errors import ConvergenceError, DivergenceError
 
-__all__ = ["band_assembler", "damped_newton", "difference_matrix", "relax_free", "solve_steady"]
+__all__ = ["band_assembler", "damped_newton", "difference_matrix", "relax_free"]
 
 DTAU0 = 0.1           # first pseudo-time step, in the model's time units
 MAX_ITERATIONS = 200
@@ -76,64 +76,47 @@ def band_assembler(shape, terms):
     return assemble
 
 
-def solve_steady(F, x0, tol):
-    """Relax ``x0`` until the sup-norm of ``F`` falls below ``tol``.
+def relax_free(rate, initial, free, tol):
+    """Steady state of d(A[free])/dtau = rate(A), the rest of A held: relax
+    ``initial`` until the sup-norm of the rate falls below ``tol``.
 
-    ``F(x)`` returns the residual and ``jac()``, the band of its Jacobian at
-    ``x`` (:func:`band_assembler`).  Returns ``x`` and one ``(pseudo_time,
-    residual)`` pair for the start and each step.  A non-finite residual
-    raises DivergenceError; a singular step or MAX_ITERATIONS steps without
-    convergence raise ConvergenceError carrying the residual.
+    ``free`` selects a rectangular block of ``initial``; ``rate(A)`` returns the
+    rates of ``A[free]`` and ``jac()``, the band of their Jacobian at ``A``
+    (:func:`band_assembler`).  Returns the relaxed array, bit-identical to
+    ``initial`` outside ``free``, and one ``(pseudo_time, residual)`` pair for
+    the start and each step.  A non-finite residual raises DivergenceError; a
+    singular step or MAX_ITERATIONS steps without convergence raise
+    ConvergenceError carrying the residual.
     """
-    x = np.array(x0, dtype=float)
-    Fx, jac = F(x)
-    residual = float(np.abs(Fx).max())
+    A = np.array(initial, dtype=float)
+    shape = A[free].shape
+    R, jac = rate(A)
+    residual = float(np.abs(R).max())
     tau, dtau = 0.0, DTAU0
     history = [(tau, residual)]
     while True:
         if not np.isfinite(residual):
             raise DivergenceError(f"non-finite residual at pseudo-time {tau:g}")
         if residual < tol:
-            return x, history
+            return A, history
         if len(history) > MAX_ITERATIONS:
             raise ConvergenceError(f"not stationary after {MAX_ITERATIONS} steps",
                                    residual=residual)
         bw, ab = jac()
         ab *= -1.0
         ab[2 * bw] += 1.0 / dtau
-        _, _, d, info = sla.lapack.sgbsv(bw, bw, ab, Fx.astype(np.float32), overwrite_ab=True)
+        _, _, d, info = sla.lapack.sgbsv(bw, bw, ab, R.ravel().astype(np.float32),
+                                         overwrite_ab=True)
         if info > 0:
             raise ConvergenceError(f"singular step matrix at pseudo-time {tau:g}",
                                    residual=residual)
-        x = x + d
-        Fx, jac = F(x)
+        A[free] += d.reshape(shape)
+        R, jac = rate(A)
         tau += dtau
-        residual = float(np.abs(Fx).max())
+        residual = float(np.abs(R).max())
         # dtau * |F_old| / |F_new| at every step telescopes to this
         dtau = DTAU0 * history[0][1] / residual if residual > 0.0 else np.inf
         history.append((tau, residual))
-
-
-def relax_free(rate, initial, free, tol):
-    """Steady state of d(A[free])/dtau = rate(A), the rest of A held.
-
-    ``free`` selects a rectangular block of ``initial``; ``rate(A)`` returns the
-    rates of ``A[free]`` and ``jac()``, the band of their Jacobian.  Returns the
-    relaxed array, bit-identical to ``initial`` outside ``free``, and the history.
-    """
-    shape = initial[free].shape
-
-    def with_free(x):
-        out = np.array(initial, dtype=float)
-        out[free] = x.reshape(shape)
-        return out
-
-    def F(x):
-        R, jac = rate(with_free(x))
-        return R.ravel(), jac
-
-    x, history = solve_steady(F, initial[free].ravel(), tol)
-    return with_free(x), history
 
 
 def _solve_rows(A, b):

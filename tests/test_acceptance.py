@@ -10,11 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fastslow.core import Grid1D, SpatialProfile, eval_full_rhs
+from fastslow.core import Grid1D, SpatialProfile, eval_full_rhs, laplacian
 from fastslow.fasttime import measure_fast_time_ode
 from fastslow.gql import build_surrogate, spectral_split
 from fastslow.models import linear_model
-from fastslow.pde import laplacian
 from fastslow.redim import local_diffusion_1d, tangent_projector
 
 YEQ = np.sqrt(3.0) - 1.0

@@ -52,6 +52,15 @@ def test_equilibrium_subcommand(capsys):
     assert out["residual_sup"] < 1e-12
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_equilibrium_non_finite_tol_exits_2(capsys, tol):
+    """``--tol inf`` would print the guess as the equilibrium, ``--tol nan``
+    iterate to the limit and exit 3."""
+    assert main(["equilibrium", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and "tol" in captured.err
+
+
 def test_gql_subcommand_writes_report(tmp_path, capsys):
     report_path = tmp_path / "gql_report.json"
     assert main(["gql", "--out-report", str(report_path)]) == 0
@@ -93,6 +102,8 @@ def test_load_config_rejects_bad_json(tmp_path):
     ({"mesh_points_per_axis": 0}, "mesh_points_per_axis"),
     ({"dt_safety": 2}, "dt_safety"),
     ({"fasttime_start": [1, 2]}, "fasttime_start"),
+    ({"fasttime_start": "2,0,1"}, "fasttime_start"),
+    ({"redim2d_points": 61}, "redim2d_points"),
     ({"fasttime_x0": 1.5}, "fasttime_x0"),
     ({"fasttime_x0": 0.001}, "fasttime_x0"),
     ({"min_gap_ratio": 0.5}, "min_gap_ratio"),
@@ -102,7 +113,8 @@ def test_load_config_rejects_bad_json(tmp_path):
     ({"redim_grad": "nope"}, "redim_grad"),
 ], ids=["nodes-string", "redim2d-one-entry", "redim2d-3-theta1-nodes",
         "redim2d-3-theta2-nodes", "mesh-points-string", "mesh-points-zero",
-        "dt-safety-above-1", "fasttime-start-length", "fasttime-x0-outside",
+        "dt-safety-above-1", "fasttime-start-length", "fasttime-start-not-a-list",
+        "redim2d-not-a-list", "fasttime-x0-outside",
         "fasttime-x0-boundary-node", "min-gap-ratio-below-1", "model-unknown",
         "model-params-string", "gql-mode-unknown", "redim-grad-unknown"])
 def test_bad_config_value_exits_2_before_any_stage(tmp_path, capsys, bad, key):

@@ -4,13 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fastslow.core import Grid1D, SpatialProfile
+from fastslow.core import Grid1D
 from fastslow.errors import ContractViolationError, ConvergenceError, DivergenceError
 from fastslow.fasttime import (
     GAMMA,
     _default_dt,
     _diffusion_solver,
-    estimate_K,
     fast_residual_norm,
     measure_fast_time_ode,
     measure_fast_time_pde,
@@ -101,6 +100,17 @@ def test_unresolved_dt_rejected():
     bad_dt = 2.0 * dec.epsilon / (10.0 * dec.slow_rate)
     with pytest.raises(ContractViolationError):
         measure_fast_time_ode(dec, model, np.array([1.0, 1.0]), dt=bad_dt)
+
+
+@pytest.mark.parametrize("bad", [
+    {"dt": 0.0}, {"dt": -1e-3}, {"dt": np.inf}, {"dt": np.nan},
+    {"max_time": 0.0}, {"max_time": -1.0}, {"max_time": np.inf}, {"max_time": np.nan},
+], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+def test_step_and_budget_must_be_finite_and_positive(mm_dec, mm_model, bad):
+    """A NaN ``max_time`` never ends a loop that does not enter and a NaN
+    ``dt`` fails every comparison: both are contract errors up front."""
+    with pytest.raises(ContractViolationError, match=next(iter(bad))):
+        measure_fast_time_ode(mm_dec.value, mm_model, Z_RIGHT, **bad)
 
 
 def test_ode_non_entry_within_budget(mm_dec, mm_model):
@@ -342,26 +352,6 @@ def test_source_turning_non_finite_raises_divergence():
     bc = BoundaryConditions(np.ones(2), np.ones(2))
     with pytest.raises(DivergenceError, match="non-finite by t = "):
         measure_fast_time_pde(dec, broken, bc, SolverSettings(node_count=21), x0=0.5)
-
-
-# ---------------------------------------------------------------------------
-# transport-to-reaction ratio K
-# ---------------------------------------------------------------------------
-
-def test_estimate_k_zero_diffusion():
-    m0 = michaelis_menten_model(MichaelisMentenParams(delta=0.0))
-    from fastslow.gql import build_surrogate, default_sample_states
-    from fastslow.models import equilibrium
-    eq = equilibrium(m0, [1.0, 0.5, 0.5])
-    dec = spectral_split(build_surrogate(m0, default_sample_states(m0, extra=[eq])))
-    g = Grid1D(21)
-    states = eq + np.outer(g.nodes, Z_RIGHT - eq)
-    assert estimate_K(dec, m0, [SpatialProfile(g, states)]) == 0.0
-
-
-def test_estimate_k_constant_profile(mm_dec, mm_model):
-    profile = SpatialProfile(Grid1D(21), np.tile(Z_RIGHT, (21, 1)))
-    assert estimate_K(mm_dec.value, mm_model, [profile]) == 0.0
 
 
 def test_fast_residual_norm_scale(mm_dec, mm_model):

@@ -111,6 +111,13 @@ def test_split_requires_gap():
         spectral_split(np.diag([-1.0, -2.0, -3.0]), min_gap_ratio=10.0)
 
 
+@pytest.mark.parametrize("ratio", [1.0, 0.5, np.inf, np.nan])
+def test_split_gap_ratio_must_be_finite_and_above_1(ratio):
+    # a NaN ratio would accept the gap of 1.5 below
+    with pytest.raises(ContractViolationError, match="min_gap_ratio"):
+        spectral_split(np.diag([-1.0, -1.5]), min_gap_ratio=ratio)
+
+
 def test_split_two_by_two():
     dec = spectral_split(np.diag([-1.0, -100.0]))
     assert np.allclose(dec.Z_f.ravel(), [0.0, 1.0])

@@ -112,6 +112,13 @@ def test_singular_jacobian_reported():
         equilibrium(m, [1.0, 0.5, 0.0])
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-12, np.inf, np.nan])
+def test_equilibrium_tol_must_be_finite_and_positive(tol):
+    # an infinite tol would return the guess as the equilibrium
+    with pytest.raises(ContractViolationError, match="tol"):
+        equilibrium(michaelis_menten_model(), [1.0, 0.5, 0.5], tol=tol)
+
+
 def test_equilibrium_non_convergence():
     m = michaelis_menten_model()
     with pytest.raises(ConvergenceError) as exc:

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from fastslow.core import Grid1D, SpatialProfile, eval_full_rhs
-from fastslow.errors import BoundaryNodeError, ConvergenceError
+from fastslow.core import Grid1D, SpatialProfile, eval_full_rhs, laplacian
+from fastslow.errors import BoundaryNodeError, ContractViolationError, ConvergenceError
 from fastslow.models import MichaelisMentenParams, michaelis_menten_model
 from fastslow.pde import (
     BoundaryConditions,
     SolverSettings,
     integrate_to_steady,
-    laplacian,
     linear_initial_profile,
 )
 
@@ -145,6 +144,13 @@ def test_unreachable_tolerance_errors():
     with pytest.raises(ConvergenceError) as exc:
         integrate_to_steady(m, bc, SolverSettings(node_count=21, steady_tol=0.0))
     assert exc.value.residual is not None and exc.value.residual > 0.0
+
+
+@pytest.mark.parametrize("tol", [-1e-8, np.inf, np.nan])
+def test_steady_tol_must_be_finite_and_non_negative(tol):
+    # an infinite tol would return the linear start as the stationary profile
+    with pytest.raises(ContractViolationError, match="steady_tol"):
+        SolverSettings(steady_tol=tol)
 
 
 def test_profile_x_component_monotone(steady_101):

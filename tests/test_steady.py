@@ -12,7 +12,13 @@ from fastslow.errors import ConvergenceError, DivergenceError
 from fastslow.models import MichaelisMentenParams, equilibrium, michaelis_menten_model
 from fastslow.pde import BoundaryConditions, SolverSettings, integrate_to_steady
 from fastslow.redim import constant_gradient, evolve_redim_1d, evolve_redim_2d
-from fastslow.steady import DTAU0, damped_newton, relax_free, solve_steady
+from fastslow.steady import (
+    DTAU0,
+    band_assembler,
+    damped_newton,
+    difference_matrix,
+    relax_free,
+)
 
 # Steady states of the RK4 relaxations at the acceptance configurations,
 # written by tests/data/make_golden.py (see its docstring for the commit).
@@ -157,8 +163,35 @@ def test_singular_step_matrix_carries_residual():
         return 0, np.full((1, 2), 1.0 / DTAU0, dtype=np.float32, order="F")
 
     with pytest.raises(ConvergenceError) as exc:
-        solve_steady(lambda x: (x + 1.0, jac), np.zeros(2), 1e-8)
+        relax_free(lambda A: (A + 1.0, jac), np.zeros(2), np.s_[:], 1e-8)
     assert exc.value.residual == 1.0
+
+
+def test_relax_free_holds_the_rest_and_logs_each_step():
+    """A 6 x 5 array with its border held: the interior relaxes under
+    ``Lap_0 A - A - A^3 / 2 + 1``, coupled to the held rows by the second
+    difference along the first axis."""
+    initial = np.random.default_rng(3).uniform(-1.0, 1.0, (6, 5))
+    free, tol = np.s_[1:-1, 1:-1], 1e-10
+    assemble = band_assembler(initial[free].shape, [
+        (difference_matrix(6, 1.0, k, free[0]), {0: np.ones(3)}) for k in (2, 0)])
+
+    def rate(A):
+        Af = A[free]
+        R = A[:-2, 1:-1] - 2.0 * Af + A[2:, 1:-1] - Af - 0.5 * Af ** 3 + 1.0
+        return R, lambda: assemble([1.0, -1.0 - 1.5 * Af ** 2])
+
+    start = initial.copy()
+    A, history = relax_free(rate, initial, free, tol)
+    held = np.ones(initial.shape, dtype=bool)
+    held[free] = False
+    assert np.array_equal(initial, start)
+    assert np.array_equal(A[held], initial[held])
+    assert history[0] == (0.0, float(np.abs(rate(initial)[0]).max()))
+    taus = [tau for tau, _ in history]
+    assert len(history) > 2 and all(a < b for a, b in zip(taus, taus[1:]))
+    assert history[-1][1] < tol
+    assert history[-1][1] == float(np.abs(rate(A)[0]).max())
 
 
 def test_damped_newton_rows_are_independent_equilibrium_solves():
