@@ -30,6 +30,7 @@ __all__ = [
 
 # double round-trips losslessly with 17 significant digits
 FLOAT_FMT = "%.17g"
+CSV_BLOCK_ROWS = 512
 
 
 def as_state(values, dimension: Optional[int] = None) -> np.ndarray:
@@ -176,9 +177,14 @@ def write_rows_csv(path, header, rows, comment: str) -> None:
     significant digits; a comment spanning lines is rejected."""
     if "\n" in comment or "\r" in comment:
         raise ContractViolationError(f"CSV comment must be one line, got {comment!r}")
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join([FLOAT_FMT] * rows.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {comment}\n" + ",".join(header) + "\n")
-        np.savetxt(fh, rows, fmt=FLOAT_FMT, delimiter=",")
+        # one % per block of rows: the whole array at once costs more memory
+        for k in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[k:k + CSV_BLOCK_ROWS]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_profile_csv(path, profile: SpatialProfile, species, comment: str = "") -> None:

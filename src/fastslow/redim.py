@@ -33,9 +33,10 @@ from .errors import (
     BoundaryNodeError,
     ContractViolationError,
     DegenerateParametrizationError,
+    NumericalError,
     ParametrizationError,
 )
-from .steady import band_assembler, difference_matrix, relax_free
+from .steady import MAX_ITERATIONS, band_assembler, difference_matrix, relax_free
 
 __all__ = [
     "GradientEstimate",
@@ -53,6 +54,12 @@ __all__ = [
 ]
 
 GRAM_COND_LIMIT = 1e12
+# coarsest level of the REDIM-2D grid sequencing: at 61 x 61 a further
+# 16 x 16 level cost more PTC time than it saved
+COARSEST = 31
+# PTC steps a coarse level may take: it relaxes in 9-12 where it helps, and
+# one that does not is no better a start than the straight line
+COARSE_STEPS = 20
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +329,18 @@ def evolve_redim_2d(model: ReactionDiffusionModel, theta1_range, theta2_range,
     """Relax Z(theta1, theta2) to a stationary 2-D manifold.
 
     Initialization is a straight line in theta1 between ``anchor_values``
-    (constant along theta2) unless ``initial_z`` is given.  ``hold`` selects
+    (constant along theta2) unless ``initial_z`` is given.  Without
+    ``initial_z``, a grid whose node counts are both odd and at least
+    ``2 * COARSEST - 1`` is grid-sequenced: the nested grid of
+    ``((M1 + 1) / 2, (M2 + 1) / 2)`` nodes is solved first, the same way,
+    and its solution, interpolated bilinearly, starts the nodes that relax;
+    the held nodes keep the straight line.  The enzyme model at 61 x 61
+    then takes 10 + 6 PTC steps (31 x 31, then 61 x 61) instead of 10
+    from the line, and 121 x 121 takes 10 + 6 + 5 instead of 10; with
+    ``tol`` = 1e-8 the result lies within 9.6e-10 and 1.4e-8 of the
+    unsequenced solve.  A coarse level that does not relax within
+    COARSE_STEPS steps is dropped, and the finer grid starts from the
+    line.  ``hold`` selects
     which boundary nodes stay pinned at their initial values:
 
     - ``"theta1"`` (default): only the theta1-extreme edges, where the
@@ -337,6 +355,24 @@ def evolve_redim_2d(model: ReactionDiffusionModel, theta1_range, theta2_range,
       enzyme model at 61 x 61, delta = 0.01, raises ConvergenceError
       after 200 PTC steps).
     """
+    return _evolve_redim_2d(model, theta1_range, theta2_range, M1, M2, grad, tol,
+                            initial_z, hold, anchor_values, MAX_ITERATIONS)
+
+
+def _prolong(Z, axis):
+    """Linear interpolation of ``Z`` along ``axis`` onto the nested grid of
+    ``2 m - 1`` nodes: the old nodes, and the midpoints between them."""
+    Z = np.moveaxis(Z, axis, 0)
+    out = np.empty((2 * len(Z) - 1,) + Z.shape[1:])
+    out[::2] = Z
+    out[1::2] = 0.5 * (Z[:-1] + Z[1:])
+    return np.moveaxis(out, 0, axis)
+
+
+def _evolve_redim_2d(model, theta1_range, theta2_range, M1, M2, grad, tol, initial_z, hold,
+                     anchor_values, max_steps) -> Manifold2D:
+    """:func:`evolve_redim_2d` in at most ``max_steps`` PTC steps; the coarse
+    levels of its grid sequencing call this name, with COARSE_STEPS."""
     if hold not in ("theta1", "all", "none"):
         raise ContractViolationError(f"unknown hold mode {hold!r}")
     if model.dimension != 3:
@@ -351,6 +387,8 @@ def evolve_redim_2d(model: ReactionDiffusionModel, theta1_range, theta2_range,
     t2 = np.linspace(theta2_range[0], theta2_range[1], M2)
     TH1, TH2 = np.meshgrid(t1, t2, indexing="ij")
 
+    free = (slice(None) if hold == "none" else slice(1, -1),
+            slice(1, -1) if hold == "all" else slice(None))
     if initial_z is not None:
         Zv = np.array(initial_z, dtype=float)
         if Zv.shape != (M1, M2):
@@ -363,6 +401,15 @@ def evolve_redim_2d(model: ReactionDiffusionModel, theta1_range, theta2_range,
             )
         line = z_lo + (z_hi - z_lo) * (t1 - t1[0]) / (t1[-1] - t1[0])
         Zv = np.repeat(line[:, None], M2, axis=1)
+        if M1 % 2 and M2 % 2 and min(M1, M2) >= 2 * COARSEST - 1:
+            try:
+                coarse = _evolve_redim_2d(model, theta1_range, theta2_range, (M1 + 1) // 2,
+                                          (M2 + 1) // 2, grad, tol, None, hold, anchor_values,
+                                          COARSE_STEPS)
+            except NumericalError:
+                pass  # the coarse grid need not relax where this one does: keep the line
+            else:
+                Zv[free] = _prolong(_prolong(coarse.Z_values, 0), 1)[free]
 
     if grad is None:
         grad = constant_gradient((0.0, 0.0), "2d")
@@ -371,8 +418,6 @@ def evolve_redim_2d(model: ReactionDiffusionModel, theta1_range, theta2_range,
     C1 = np.repeat(c1_line[:, None], M2, axis=1)
     C2 = np.repeat(c2_line[:, None], M2, axis=1)
 
-    free = (slice(None) if hold == "none" else slice(1, -1),
-            slice(1, -1) if hold == "all" else slice(None))
     # the rate and its Jacobian take their stencils from the same matrices
     axes = [(len(t), float(t[1] - t[0])) for t in (t1, t2)]
     (D1, D2), (E1, E2) = [[sum(np.diag(c[max(-k, 0):m - max(k, 0)], k)
@@ -399,5 +444,5 @@ def evolve_redim_2d(model: ReactionDiffusionModel, theta1_range, theta2_range,
                              -Phi[free][..., 0], -Phi[free][..., 1]] + [
                 delta * C[free] for C in (C1 * C1, 2.0 * C1 * C2, C2 * C2)])
         return ((Phi[..., 2] + LZ) - Z1 * Phi[..., 0] - Z2 * Phi[..., 1])[free], jac
-    Zv, _ = relax_free(rate, Zv, free, tol)
+    Zv, _ = relax_free(rate, Zv, free, tol, max_steps)
     return Manifold2D(theta1_grid=t1, theta2_grid=t2, Z_values=Zv, chi1=C1, chi2=C2)

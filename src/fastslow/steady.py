@@ -24,14 +24,15 @@ __all__ = ["band_assembler", "damped_newton", "difference_matrix", "relax_free"]
 
 DTAU0 = 0.1           # first pseudo-time step, in the model's time units
 MAX_ITERATIONS = 200
-HALVINGS = 40         # step halvings per damped-Newton line search
+HALVINGS = 40         # step lengths 1, 1/2, ..., 2**-39 per damped-Newton line search
+BLOCK = 8             # shorter step lengths evaluated in one call
 
 
 def difference_matrix(m, d, order, s=np.s_[:]):
     """The identity (``order`` 0), first or second difference (1, 2) on ``m``
     nodes of spacing ``d``, central with one-sided second-order end rows
-    (reaching 3 nodes in), in the rows and columns of the slice ``s``:
-    diagonals ``{k: c}``, ``c[i]`` in row ``i`` and column ``i + k``."""
+    (reaching 3 nodes in), in the rows and columns of the contiguous slice
+    ``s``: diagonals ``{k: c}``, ``c[i]`` in row ``i`` and column ``i + k``."""
     central, edge = [([0.0, 1.0, 0.0], [1.0]), ([-0.5, 0.0, 0.5], [-1.5, 2.0, -0.5]),
                      ([1.0, -2.0, 1.0], [2.0, -5.0, 4.0, -1.0])][order]
     P = {k: np.zeros(m) for k in range(-3, 4)}
@@ -39,8 +40,9 @@ def difference_matrix(m, d, order, s=np.s_[:]):
         P[k][1:-1] = c / d ** order
     for k, c in enumerate(edge):  # a first difference changes sign under reflection
         P[k][0], P[-k][-1] = c / d ** order, (-1) ** order * c / d ** order
-    i = np.arange(m)[s]
-    return {k: c for k, c in ((k, p[s] * np.isin(i + k, i)) for k, p in P.items()) if c.any()}
+    i = np.arange(m)[s]  # column i + k is in s iff it lies in [i[0], i[-1]]
+    return {k: c for k, c in ((k, p[s] * ((i[0] <= i + k) & (i + k <= i[-1])))
+                              for k, p in P.items()) if c.any()}
 
 
 def band_assembler(shape, terms):
@@ -76,7 +78,7 @@ def band_assembler(shape, terms):
     return assemble
 
 
-def relax_free(rate, initial, free, tol):
+def relax_free(rate, initial, free, tol, max_steps=MAX_ITERATIONS):
     """Steady state of d(A[free])/dtau = rate(A), the rest of A held: relax
     ``initial`` until the sup-norm of the rate falls below ``tol``.
 
@@ -85,7 +87,7 @@ def relax_free(rate, initial, free, tol):
     (:func:`band_assembler`).  Returns the relaxed array, bit-identical to
     ``initial`` outside ``free``, and one ``(pseudo_time, residual)`` pair for
     the start and each step.  A non-finite residual raises DivergenceError; a
-    singular step or MAX_ITERATIONS steps without convergence raise
+    singular step or ``max_steps`` steps without convergence raise
     ConvergenceError carrying the residual.
     """
     A = np.array(initial, dtype=float)
@@ -99,8 +101,8 @@ def relax_free(rate, initial, free, tol):
             raise DivergenceError(f"non-finite residual at pseudo-time {tau:g}")
         if residual < tol:
             return A, history
-        if len(history) > MAX_ITERATIONS:
-            raise ConvergenceError(f"not stationary after {MAX_ITERATIONS} steps",
+        if len(history) > max_steps:
+            raise ConvergenceError(f"not stationary after {max_steps} steps",
                                    residual=residual)
         bw, ab = jac()
         ab *= -1.0
@@ -144,14 +146,20 @@ def damped_newton(phi, jacobian, P, B, offset, U0, tol, max_iter):
     ``(m, n, n)`` Jacobians; ``offset`` is ``(m, n)``, one problem per row,
     and ``U0`` is ``None`` (start at zero) or broadcasts to ``(m, B.shape[1])``.
     Each row runs its own iteration: it stops once ``|g|_inf < tol``, with
-    ``g = P phi(z)``, steps by ``solve(P J(z) B, -g)`` and halves the step
-    until the residual strictly decreases, at most ``HALVINGS`` times.  A row
-    freezes when it converges, when its line search fails or when its
-    reduced Jacobian is singular.  Only rows still iterating are evaluated,
-    so every row evaluates the same states it would alone.  Returns
-    ``(z, converged, singular, residual)``, one entry per row: the last
-    iterate, whether its residual is below ``tol``, whether it stopped on a
-    singular Jacobian, and ``|g|_inf`` there.
+    ``g = P phi(z)``, steps by ``solve(P J(z) B, -g)`` scaled by the first of
+    the lengths ``2**-k``, ``k = 0 .. HALVINGS - 1``, that strictly decreases
+    its residual.  The full step of every row is tried in one ``phi`` call;
+    the rows it does not improve try the shorter lengths in blocks of
+    ``BLOCK`` per call, so every length of a block is evaluated, also those
+    past the one a row takes, and ``phi`` must accept them (an
+    :func:`~fastslow.core.eval_source` that raises on a non-finite value
+    raises for any of them).  A row freezes when it converges, when no
+    length decreases its residual or when its reduced Jacobian is
+    singular.  Only rows still iterating are evaluated, and each row takes
+    the step it would take alone.  Returns ``(z, converged, singular,
+    residual)``, one entry per row: the last iterate, whether its residual
+    is below ``tol``, whether it stopped on a singular Jacobian, and
+    ``|g|_inf`` there.
     """
     m = offset.shape[0]
     U = np.zeros((m, B.shape[1])) if U0 is None else np.array(
@@ -161,6 +169,8 @@ def damped_newton(phi, jacobian, P, B, offset, U0, tol, max_iter):
     gnorm = np.abs(g).max(axis=1)
     live = np.ones(m, dtype=bool)
     singular = np.zeros(m, dtype=bool)
+    # the full step, then the shorter lengths in blocks: 1 | 2**-1 .. 2**-8 | ...
+    blocks = np.split(np.ldexp(1.0, -np.arange(HALVINGS)), range(1, HALVINGS, BLOCK))
     for _ in range(max_iter):
         live &= ~(gnorm < tol)
         rows = np.flatnonzero(live)
@@ -170,19 +180,20 @@ def damped_newton(phi, jacobian, P, B, offset, U0, tol, max_iter):
         singular[rows[~ok]] = True
         live[rows[~ok]] = False
         rows, dU = rows[ok], dU[ok]
-        step = 1.0
-        for _ in range(HALVINGS):
-            U_new = U[rows] + step * dU
-            z_new = U_new @ B.T + offset[rows]
+        for steps in blocks:
+            U_new = (U[rows] + steps[:, None, None] * dU).reshape(-1, dU.shape[1])
+            z_new = U_new @ B.T + np.tile(offset[rows], (len(steps), 1))
             g_new = phi(z_new) @ P.T
-            gnorm_new = np.abs(g_new).max(axis=1)
+            gnorm_new = np.abs(g_new).max(axis=1).reshape(len(steps), -1)
             down = gnorm_new < gnorm[rows]
-            took = rows[down]
+            hit = down.any(axis=0)
+            # the first length that decreases the residual, as a row of the block
+            pick = down.argmax(axis=0)[hit] * len(rows) + np.flatnonzero(hit)
+            took = rows[hit]
             U[took], z[took], g[took], gnorm[took] = (
-                U_new[down], z_new[down], g_new[down], gnorm_new[down])
-            rows, dU = rows[~down], dU[~down]
+                U_new[pick], z_new[pick], g_new[pick], gnorm_new.ravel()[pick])
+            rows, dU = rows[~hit], dU[~hit]
             if rows.size == 0:
                 break
-            step *= 0.5
-        live[rows] = False  # no halving decreased the residual
+        live[rows] = False  # no step length decreased the residual
     return z, gnorm < tol, singular, gnorm

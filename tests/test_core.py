@@ -164,6 +164,17 @@ def test_rows_csv_matches_value_by_value_formatting(tmp_path):
     assert path.read_text() == "\n".join(expect) + "\n"
 
 
+def test_rows_csv_blocks_and_tuples_match_value_by_value_formatting(tmp_path):
+    """Rows past one formatting block, and the tuple of ``(t, residual)``
+    tuples that ``pde-solve --history`` passes, written value by value."""
+    rows = np.random.default_rng(1).standard_normal((1100, 2))
+    for data in (rows, tuple(tuple(row) for row in rows.tolist())):
+        path = tmp_path / "rows.csv"
+        write_rows_csv(path, ["t", "residual"], data, "note")
+        expect = ["# note", "t,residual"] + [",".join("%.17g" % v for v in row) for row in rows]
+        assert path.read_text() == "\n".join(expect) + "\n"
+
+
 @pytest.mark.parametrize("comment", ["two\nlines", "trailing\n", "carriage\rreturn"])
 def test_multiline_csv_comment_rejected(tmp_path, comment):
     profile = SpatialProfile(Grid1D(3), np.zeros((3, 1)))

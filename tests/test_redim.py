@@ -329,6 +329,45 @@ def test_redim2d_contains_the_profile_at_second_order(mm_model, mm_bc):
     assert 1.75 <= orders[-1] <= 2.15, orders
 
 
+def _straight_line(mm_bc, M):
+    """The unsequenced start of an M x M REDIM-2D over theta1 in [0, 2]: Z
+    linear in theta1 between the boundary states, constant in theta2."""
+    z_lo, z_hi = float(mm_bc.left_state[2]), float(mm_bc.right_state[2])
+    t1 = np.linspace(0.0, 2.0, M)
+    return np.repeat((z_lo + (z_hi - z_lo) * (t1 - t1[0]) / (t1[-1] - t1[0]))[:, None], M, 1)
+
+
+def test_sequenced_redim2d_matches_the_unsequenced_solve(mm_model, mm_bc, mm_grad2, redim2d_mm):
+    """The 61 x 61 REDIM-2D starts from its 31 x 31 solution; given the
+    straight line as ``initial_z`` it relaxes from there instead.  Each stops
+    with a residual below ``tol``.  The node term of the Z rate's Jacobian,
+    J_ZZ - Z_X J_XZ - Z_Y J_YZ, lies in [-18.6, -0.22] over the solution, so
+    each stop lies within about ``tol / 0.22`` of the fixed point and the two
+    within ``2 tol / 0.22`` = 9.1e-8 (measured 9.6e-10).  The held theta1
+    edges keep the line, bit for bit."""
+    tol, line = 1e-8, _straight_line(mm_bc, 61)
+    cold = evolve_redim_2d(mm_model, (0.0, 2.0), (0.0, 1.0), M1=61, M2=61, grad=mm_grad2,
+                           tol=tol, initial_z=line)
+    seq = redim2d_mm.value.Z_values
+    assert np.abs(seq - cold.Z_values).max() <= 2.0 * tol / 0.22
+    assert np.array_equal(seq[[0, -1]], line[[0, -1]])
+    assert np.array_equal(cold.Z_values[[0, -1]], line[[0, -1]])
+
+
+def test_redim2d_whose_coarse_level_fails_starts_from_the_line(mm_model, mm_bc):
+    """With chi = 0.3 the 31 x 31 REDIM-2D does not relax (its residual grows
+    past 1e4), though the 61 x 61 one does: the coarse level gives up after
+    COARSE_STEPS and the fine one relaxes from the straight line, bit for
+    bit as if ``initial_z`` were that line (a coarse start would move the
+    result by about 1e-9)."""
+    anchors = (float(mm_bc.left_state[2]), float(mm_bc.right_state[2]))
+    setup = dict(theta1_range=(0.0, 2.0), theta2_range=(0.0, 1.0),
+                 grad=constant_gradient((0.3, 0.3), "2d"))
+    sequenced = evolve_redim_2d(mm_model, **setup, M1=61, M2=61, anchor_values=anchors)
+    cold = evolve_redim_2d(mm_model, **setup, M1=61, M2=61, initial_z=_straight_line(mm_bc, 61))
+    assert np.array_equal(sequenced.Z_values, cold.Z_values)
+
+
 def test_redim1d_rejects_degenerate_anchors(mm_model):
     with pytest.raises(ContractViolationError):
         evolve_redim_1d(mm_model, (Z_EQ, Z_EQ), M=11)

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fastslow import pde, redim
+from fastslow import pde, redim, steady
 from fastslow.core import ReactionDiffusionModel, eval_source
 from fastslow.errors import ConvergenceError, DivergenceError
+from fastslow.gql import default_slow_grid
 from fastslow.models import MichaelisMentenParams, equilibrium, michaelis_menten_model
 from fastslow.pde import BoundaryConditions, SolverSettings, integrate_to_steady
 from fastslow.redim import constant_gradient, evolve_redim_1d, evolve_redim_2d
@@ -69,7 +70,7 @@ def _captured(monkeypatch, module, solve):
     """The ``(rate, initial, free)`` that ``solve`` hands to ``relax_free``."""
     seen = []
 
-    def capture(rate, initial, free, tol):
+    def capture(rate, initial, free, tol, *max_steps):
         seen.append((rate, initial, free))
         return initial, [(0.0, 0.0)]
 
@@ -146,15 +147,43 @@ def test_profile_iteration_count_is_pinned(mm_model, mm_bc, N):
 
 def test_redim_iteration_counts_are_pinned(monkeypatch, mm_model, mm_bc, mm_grad1, mm_grad2):
     """The exact Jacobian must not take more steps than the forward-difference
-    one it replaced: 10 for REDIM-1D at M = 101 and 10 for REDIM-2D at 61 x 61
-    (the configurations of the conftest fixtures)."""
+    one it replaced: 10 for REDIM-1D at M = 101 and 10 for REDIM-2D from the
+    straight line (the configurations of the conftest fixtures).  The 61 x 61
+    REDIM-2D is grid-sequenced: 10 steps at 31 x 31 from the line, then at
+    most 6 at 61 x 61 from the interpolated coarse solution."""
     histories = _recorded(monkeypatch, redim)
     evolve_redim_1d(mm_model, (mm_bc.left_state, mm_bc.right_state), M=101, grad=mm_grad1)
     evolve_redim_2d(mm_model, (0.0, 2.0), (0.0, 1.0), M1=61, M2=61, grad=mm_grad2,
                     anchor_values=(float(mm_bc.left_state[2]), float(mm_bc.right_state[2])))
     steps = [len(h) - 1 for h in histories]
-    assert len(steps) == 2 and steps[0] <= 10 and steps[1] <= 10, steps
+    assert len(steps) == 3, steps
+    assert steps[0] <= 10 and steps[1] <= 10 and steps[2] <= 6, steps
     assert all(h[-1][1] < 1e-8 for h in histories)
+
+
+def _isin_difference_matrix(m, d, order, s):
+    """:func:`difference_matrix` as it was, keeping column ``i + k`` by
+    membership in the slice's indices."""
+    central, edge = [([0.0, 1.0, 0.0], [1.0]), ([-0.5, 0.0, 0.5], [-1.5, 2.0, -0.5]),
+                     ([1.0, -2.0, 1.0], [2.0, -5.0, 4.0, -1.0])][order]
+    P = {k: np.zeros(m) for k in range(-3, 4)}
+    for k, c in zip((-1, 0, 1), central):
+        P[k][1:-1] = c / d ** order
+    for k, c in enumerate(edge):
+        P[k][0], P[-k][-1] = c / d ** order, (-1) ** order * c / d ** order
+    i = np.arange(m)[s]
+    return {k: c for k, c in ((k, p[s] * np.isin(i + k, i)) for k, p in P.items()) if c.any()}
+
+
+@pytest.mark.parametrize("s", [np.s_[:], np.s_[1:-1]], ids=["all", "interior"])
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("m", [4, 5, 9, 61])
+def test_difference_matrix_range_test_matches_membership(m, order, s):
+    """A slice is contiguous, so the range test on its columns keeps the same
+    diagonals, bit for bit, as the membership test it replaced."""
+    got, ref = difference_matrix(m, 0.3, order, s), _isin_difference_matrix(m, 0.3, order, s)
+    assert got.keys() == ref.keys()
+    assert all(np.array_equal(got[k], ref[k]) for k in ref)
 
 
 def test_singular_step_matrix_carries_residual():
@@ -209,3 +238,82 @@ def test_damped_newton_rows_are_independent_equilibrium_solves():
     assert np.all(residual[converged] < 1e-12)
     for k in np.flatnonzero(converged):
         assert z[k] == pytest.approx(equilibrium(model, guesses[k]), abs=1e-14)
+
+
+def _sequential_damped_newton(phi, jacobian, P, B, offset, U0, tol, max_iter):
+    """:func:`damped_newton` with the line search it replaced: one ``phi``
+    call per halving, 1, 1/2, ..., 2**-39, for the rows not yet improved."""
+    m = offset.shape[0]
+    U = np.zeros((m, B.shape[1])) if U0 is None else np.array(
+        np.broadcast_to(U0, (m, B.shape[1])), dtype=float)
+    z = U @ B.T + offset
+    g = phi(z) @ P.T
+    gnorm = np.abs(g).max(axis=1)
+    live = np.ones(m, dtype=bool)
+    singular = np.zeros(m, dtype=bool)
+    for _ in range(max_iter):
+        live &= ~(gnorm < tol)
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
+            break
+        dU, ok = steady._solve_rows(P @ jacobian(z[rows]) @ B, -g[rows])
+        singular[rows[~ok]] = True
+        live[rows[~ok]] = False
+        rows, dU = rows[ok], dU[ok]
+        step = 1.0
+        for _ in range(40):
+            U_new = U[rows] + step * dU
+            z_new = U_new @ B.T + offset[rows]
+            g_new = phi(z_new) @ P.T
+            gnorm_new = np.abs(g_new).max(axis=1)
+            down = gnorm_new < gnorm[rows]
+            took = rows[down]
+            U[took], z[took], g[took], gnorm[took] = (
+                U_new[down], z_new[down], g_new[down], gnorm_new[down])
+            rows, dU = rows[~down], dU[~down]
+            if rows.size == 0:
+                break
+            step *= 0.5
+        live[rows] = False
+    return z, gnorm < tol, singular, gnorm
+
+
+def _cubic_rows():
+    """``z^3 = 1`` from starts whose full Newton step overshoots by 2**k: the
+    residual first falls at a length in each block of the line search, none
+    does from 1e-7 (a step of 3e13), and the derivative vanishes at 0."""
+    starts = np.array([[-1.0], [2.0], [0.1], [1e-2], [1e-3], [1e-4], [1e-5], [1e-6], [1e-7], [0.0]])
+    eye = np.eye(1)
+    return (lambda z: z ** 3 - 1.0, lambda z: 3.0 * z[..., None] ** 2, eye, eye,
+            np.zeros((len(starts), 1)), starts, 1e-12, 100)
+
+
+def _mesh_rows(mm_model, mm_dec, mm_eq):
+    """The 12-per-axis slow mesh of the enzyme model, whose Jacobian is
+    zeroed below X = 0.2 (a singular reduced Jacobian) and flipped above
+    X = 1.8 (every step climbs)."""
+    dec = mm_dec.value
+
+    def jacobian(z):
+        J = mm_model.jacobian(z)
+        J[z[:, 0] < 0.2] = 0.0
+        J[z[:, 0] > 1.8] *= -1.0
+        return J
+
+    V = default_slow_grid(dec, mm_model, 12)
+    return (lambda z: eval_source(mm_model, z), jacobian, dec.Zt_f, dec.Z_f, V @ dec.Z_s.T,
+            dec.Zt_f @ mm_eq.value, 1e-10, 60)
+
+
+@pytest.mark.parametrize("problem", ["cubic", "mesh"])
+def test_block_line_search_matches_the_sequential_one(problem, mm_model, mm_dec, mm_eq):
+    """Each row takes the first length that lowers its residual, as when the
+    lengths were tried one call at a time: the same iterates, flags and
+    residuals, bit for bit, on rows that converge, fail the line search or
+    stop on a singular Jacobian."""
+    args = _cubic_rows() if problem == "cubic" else _mesh_rows(mm_model, mm_dec, mm_eq)
+    z, converged, singular, residual = damped_newton(*args)
+    ref = _sequential_damped_newton(*args)
+    for got, want in zip((z, converged, singular, residual), ref):
+        assert np.array_equal(got, want)
+    assert converged.any() and singular.any() and (~converged & ~singular).any()
