@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Subcommands: model, equilibrium, gql, pde-solve, redim, fast-time, pipeline.
-A JSON config file with flat keys drives the pipeline; any flag overrides the
-config, and FASTSLOW_OUT overrides the output directory unless --out-dir is
-given explicitly.  Exit codes: 0 success, 2 config error, 3 numerical
-non-convergence, 4 decomposition failure.
+A JSON config file with flat keys drives them.  A flag whose dest is a config
+key overrides it, and FASTSLOW_OUT stands in for an absent --out-dir; stages
+read only the config, checked before any of them runs.  Exit codes: 0
+success, 2 config error, 3 numerical non-convergence, 4 decomposition failure.
 """
 
 from __future__ import annotations
@@ -101,9 +101,9 @@ class RunConfig:
                       lambda v: 0.0 < v < 1.0 and 0 < round(v * last) < last,
                       f"a position in (0, 1) off the boundary nodes of the "
                       f"{self.nodes}-node grid")
-        if self.redim_grad != "profile" and _constant(str(self.redim_grad)) is None:
-            raise ConfigError(f"redim_grad must be 'profile' or 'const:<value>', "
-                              f"got {self.redim_grad!r}")
+        for key in ("redim_grad", "out_dir"):
+            if not isinstance(getattr(self, key), str) or not getattr(self, key):
+                raise ConfigError(f"{key} must be a non-empty string, got {getattr(self, key)!r}")
         start = self.fasttime_start
         if not isinstance(start, (tuple, list)):
             raise ConfigError(f"fasttime_start must be a list, got {start!r}")
@@ -113,6 +113,15 @@ class RunConfig:
         if len(start) != dimension:
             raise ConfigError(f"fasttime_start needs {dimension} components, one per "
                               f"species, got {len(start)}")
+        if self.redim_grad != "profile" and _constant(self.redim_grad) is None:
+            try:
+                species = read_profile_csv(self.redim_grad).states.shape[1]
+            except (OSError, ContractViolationError) as exc:
+                raise ConfigError(f"redim_grad must be 'profile', 'const:<finite value>' "
+                                  f"or a profile CSV path: {exc}") from exc
+            if species != dimension:
+                raise ConfigError(f"redim_grad profile CSV holds {species} species, the "
+                                  f"model {dimension}")
 
 
 def _check_int(key, value, least) -> None:
@@ -157,7 +166,7 @@ def build_model(config: RunConfig) -> ReactionDiffusionModel:
     if config.model == "michaelis-menten":
         try:
             params = MichaelisMentenParams(**config.model_params)
-        except TypeError as exc:
+        except (TypeError, ContractViolationError) as exc:
             raise ConfigError(f"bad model_params for michaelis-menten: {exc}") from exc
         return michaelis_menten_model(params)
     if config.model == "linear":
@@ -175,7 +184,7 @@ def build_model(config: RunConfig) -> ReactionDiffusionModel:
             if A.ndim == 1:  # the row-major entries of a square matrix
                 A = A.reshape(round(A.size ** 0.5), -1)
             return linear_model(A, z_star, diffusion=diffusion)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ContractViolationError) as exc:
             raise ConfigError(f"bad model_params for the linear model: {exc}") from exc
     raise ConfigError(f"unknown model {config.model!r}")
 
@@ -256,21 +265,22 @@ def _constant(spec: str):
     if not spec.startswith("const:"):
         return None
     try:
-        return float(spec.split(":", 1)[1])
-    except ValueError as exc:
-        raise ConfigError(f"bad constant gradient {spec!r}") from exc
+        value = float(spec.split(":", 1)[1])
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"redim_grad constant must be a finite number, got {spec!r}")
+    return value
 
 
-def _gradient(spec: str, profile, dim: int):
-    """The diffusion closure of a ``dim``-D REDIM: constant, or from the profile."""
-    value, mode = _constant(spec), f"{dim}d"
-    if value is None:
-        return gradient_estimate_from_profile(profile, mode)
-    return constant_gradient((value, value) if dim == 2 else value, mode)
-
-
-def write_redim(path, dim: int, config: RunConfig, model, bc, grad) -> None:
-    """Relax the ``dim``-D REDIM anchored at the boundary states and write it."""
+def write_redim(path, dim: int, config: RunConfig, model, bc, profile) -> None:
+    """Relax the ``dim``-D REDIM anchored at the boundary states and write it; its
+    closure is ``redim_grad``: a constant, the stationary ``profile`` or a CSV's."""
+    value, mode = _constant(config.redim_grad), f"{dim}d"
+    if value is None and config.redim_grad != "profile":
+        profile = read_profile_csv(config.redim_grad)
+    grad = (gradient_estimate_from_profile(profile, mode) if value is None
+            else constant_gradient((value, value) if dim == 2 else value, mode))
     if dim == 1:
         m = evolve_redim_1d(model, (bc.left_state, bc.right_state),
                             M=config.redim1d_points, grad=grad, tol=config.redim_tol)
@@ -298,18 +308,16 @@ def write_redim(path, dim: int, config: RunConfig, model, bc, grad) -> None:
 FASTTIME_HEADER = ["epsilon", "K", "dist", "t_enter", "bound", "ratio"]
 
 
-def fast_time_rows(config: RunConfig, model, dec, bc, modes, start=None, x0=None) -> np.ndarray:
-    """One fasttime.csv row per mode: the ODE transient from ``start`` (the
-    right boundary state if None) and the PDE transient tracked at ``x0``
-    (``fasttime_x0`` if None)."""
+def fast_time_rows(config: RunConfig, model, dec, bc, modes) -> np.ndarray:
+    """One fasttime.csv row per mode: the ODE transient from the right
+    boundary state and the PDE transient tracked at ``fasttime_x0``."""
     rows = []
     for mode in modes:
         if mode == "ode":
-            report = measure_fast_time_ode(dec, model, bc.right_state if start is None else start)
+            report = measure_fast_time_ode(dec, model, bc.right_state)
         else:
-            report = measure_fast_time_pde(
-                dec, model, bc, _solver_settings(config),
-                x0=config.fasttime_x0 if x0 is None else x0)
+            report = measure_fast_time_pde(dec, model, bc, _solver_settings(config),
+                                           x0=config.fasttime_x0)
         rows.append([report.epsilon, report.K, report.y0_distance,
                      report.t_enter, report.bound, report.ratio])
     return np.array(rows)
@@ -334,7 +342,7 @@ def cmd_model(config: RunConfig, args) -> int:
 
 def cmd_equilibrium(config: RunConfig, args) -> int:
     model = build_model(config)
-    guess = _parse_state(args.guess, model.dimension) if args.guess else _default_guess(model)
+    guess = _default_guess(model) if args.guess is None else args.guess
     z_eq = equilibrium(model, guess, tol=args.tol)
     out = {
         "state": list(z_eq),
@@ -344,14 +352,11 @@ def cmd_equilibrium(config: RunConfig, args) -> int:
     return 0
 
 
-def _parse_state(text, dimension):
+def _parse_state(text) -> tuple:
     try:
-        vals = [float(tok) for tok in text.split(",")]
+        return tuple(float(tok) for tok in text.split(","))
     except ValueError as exc:
-        raise ConfigError(f"cannot parse state {text!r}") from exc
-    if len(vals) != dimension:
-        raise ConfigError(f"state needs {dimension} components, got {len(vals)}")
-    return np.array(vals)
+        raise argparse.ArgumentTypeError(f"cannot parse state {text!r}") from exc
 
 
 def cmd_gql(config: RunConfig, args) -> int:
@@ -380,24 +385,18 @@ def cmd_pde_solve(config: RunConfig, args) -> int:
 def cmd_redim(config: RunConfig, args) -> int:
     model = build_model(config)
     bc = boundary_conditions(config, equilibrium(model, _default_guess(model)))
-    spec = args.grad or config.redim_grad
-    if spec.startswith("const:"):
-        profile = None
-    elif spec == "profile":
+    profile = None
+    if config.redim_grad == "profile":
         profile = integrate_to_steady(model, bc, _solver_settings(config)).profile
-    else:
-        profile = read_profile_csv(spec)
-    write_redim(args.out, args.dim, config, model, bc, _gradient(spec, profile, args.dim))
+    write_redim(args.out, args.dim, config, model, bc, profile)
     print(f"manifold written to {args.out}")
     return 0
 
 
 def cmd_fast_time(config: RunConfig, args) -> int:
     model = build_model(config)
-    start = _parse_state(args.start, model.dimension) if args.start else None
     dec, z_eq = run_gql(config, model)
-    rows = fast_time_rows(config, model, dec, boundary_conditions(config, z_eq),
-                          [args.mode], start=start, x0=args.x0)
+    rows = fast_time_rows(config, model, dec, boundary_conditions(config, z_eq), [args.mode])
     if args.out:
         write_rows_csv(args.out, FASTTIME_HEADER, rows,
                        provenance(model, f"fast-time-{args.mode}"))
@@ -440,8 +439,7 @@ def run_pipeline(config: RunConfig, out_dir: str | None = None) -> dict:
 
         for dim in (1, 2):
             stage = f"redim-{dim}d"
-            write_redim(paths[f"redim{dim}d"], dim, config, model, bc,
-                        _gradient(config.redim_grad, profile, dim))
+            write_redim(paths[f"redim{dim}d"], dim, config, model, bc, profile)
 
         stage = "fast-time"
         write_rows_csv(paths["fasttime"], FASTTIME_HEADER,
@@ -454,8 +452,7 @@ def run_pipeline(config: RunConfig, out_dir: str | None = None) -> dict:
 
 
 def cmd_pipeline(config: RunConfig, args) -> int:
-    out_dir = args.out_dir or os.environ.get("FASTSLOW_OUT") or config.out_dir
-    paths = run_pipeline(config, out_dir)
+    paths = run_pipeline(config)
     for name in sorted(paths):
         print(f"{name}: {paths[name]}")
     return 0
@@ -483,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equilibrium", help="Newton equilibrium of the source term")
     common(p)
-    p.add_argument("--guess", help="initial guess, comma separated")
+    p.add_argument("--guess", type=_parse_state, help="initial guess, comma separated")
     p.add_argument("--tol", type=float, default=1e-12)
 
     p = sub.add_parser("gql", help="global quasi-linearization report and slow mesh")
@@ -494,21 +491,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pde-solve", help="stationary profile by method of lines")
     common(p)
     p.add_argument("--nodes", type=int, help="grid nodes (default from config)")
-    p.add_argument("--tol", type=float, help="steady-state tolerance")
+    p.add_argument("--tol", dest="steady_tol", type=float, help="steady-state tolerance")
     p.add_argument("--out", required=True, help="profile CSV path")
     p.add_argument("--history", help="residual history CSV path")
 
     p = sub.add_parser("redim", help="relax a reaction-diffusion manifold")
     common(p)
     p.add_argument("--dim", type=int, choices=(1, 2), required=True)
-    p.add_argument("--grad", help="'profile', a profile CSV path, or const:<value>")
+    p.add_argument("--grad", dest="redim_grad",
+                   help="'profile', a profile CSV path, or const:<finite value>")
     p.add_argument("--out", required=True, help="manifold CSV path")
 
     p = sub.add_parser("fast-time", help="fast-transient entry time vs. bound")
     common(p)
     p.add_argument("--mode", choices=("ode", "pde"), required=True)
-    p.add_argument("--x0", type=float, help="tracked position for pde mode")
-    p.add_argument("--start", help="initial state X,Y,Z for ode mode")
+    p.add_argument("--x0", dest="fasttime_x0", type=float, help="tracked position for pde mode")
+    p.add_argument("--start", dest="fasttime_start", type=_parse_state,
+                   help="fasttime_start X,Y,Z: the ode start and the pde right boundary")
     p.add_argument("--out", help="CSV output path")
 
     p = sub.add_parser("pipeline", help="run all stages, writing all artifacts")
@@ -530,13 +529,10 @@ COMMANDS = {
 
 def _flag_overrides(args) -> dict:
     # a flag given as 0 or "" is passed on, so RunConfig's checks see it
-    updates = {}
-    if getattr(args, "model", None) is not None:
-        updates["model"] = args.model
-    if getattr(args, "nodes", None) is not None:
-        updates["nodes"] = args.nodes
-    if getattr(args, "tol", None) is not None and args.command == "pde-solve":
-        updates["steady_tol"] = args.tol
+    updates = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+               if getattr(args, f.name, None) is not None}
+    if "out_dir" not in updates and os.environ.get("FASTSLOW_OUT"):
+        updates["out_dir"] = os.environ["FASTSLOW_OUT"]
     return updates
 
 

@@ -34,7 +34,7 @@ CSV_BLOCK_ROWS = 512
 
 
 def as_state(values, dimension: Optional[int] = None) -> np.ndarray:
-    """Coerce ``values`` to a read-only float state vector, validating shape."""
+    """Coerce ``values`` to a read-only, finite float state vector of checked shape."""
     z = np.array(values, dtype=float, copy=True)
     if z.ndim != 1:
         raise ContractViolationError(f"state vector must be 1-D, got shape {z.shape}")
@@ -42,6 +42,8 @@ def as_state(values, dimension: Optional[int] = None) -> np.ndarray:
         raise ContractViolationError(
             f"state vector has length {z.shape[0]}, expected {dimension}"
         )
+    if not np.isfinite(z).all():
+        raise ContractViolationError(f"state vector must be finite, got {z.tolist()}")
     z.setflags(write=False)
     return z
 
@@ -107,8 +109,8 @@ class ReactionDiffusionModel:
         d = np.array(self.diffusion, dtype=float, copy=True)
         if d.ndim != 1:
             raise ContractViolationError("diffusion must be a 1-D coefficient vector")
-        if np.any(d < 0.0):
-            raise ContractViolationError("diffusion coefficients must be >= 0")
+        if not np.all((0.0 <= d) & (d < np.inf)):  # NaN fails both
+            raise ContractViolationError("diffusion coefficients must be finite and >= 0")
         d.setflags(write=False)
         object.__setattr__(self, "diffusion", d)
 

@@ -39,6 +39,8 @@ class MichaelisMentenParams:
     delta: float = 0.01
 
     def __post_init__(self):
+        if not np.isfinite(list(asdict(self).values())).all():
+            raise ContractViolationError(f"parameters must be finite, got {asdict(self)}")
         if min(self.L1, self.L2, self.L3, self.L4, self.mu) <= 0.0:
             raise ContractViolationError("rate-constant ratios must be positive")
         if self.L1 == 1.0:

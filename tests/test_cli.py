@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fastslow import cli
 from fastslow.cli import RunConfig, build_parser, load_config, main, run_pipeline
 from fastslow.core import read_profile_csv
 from fastslow.errors import ConfigError, ConvergenceError
@@ -111,12 +112,23 @@ def test_load_config_rejects_bad_json(tmp_path):
     ({"model_params": {"L1": "a"}}, "model_params"),
     ({"gql_mode": "nope"}, "gql_mode"),
     ({"redim_grad": "nope"}, "redim_grad"),
+    ({"redim_grad": "const:nan"}, "redim_grad"),
+    ({"redim_grad": "const:inf"}, "redim_grad"),
+    ({"model_params": {"delta": math.inf}}, "model_params"),
+    ({"model_params": {"L1": math.nan}}, "model_params"),
+    ({"model": "linear", "model_params": {"A": np.diag([-1.0, -2.0, -30.0]).tolist(),
+                                          "z_star": [1.0, 1.0, 1.0],
+                                          "diffusion": [0.1, math.nan, 0.1]}}, "model_params"),
+    ({"model": "linear", "model_params": {"A": np.diag([-1.0, -2.0, -30.0]).tolist(),
+                                          "z_star": [1.0, math.inf, 1.0]}}, "model_params"),
 ], ids=["nodes-string", "redim2d-one-entry", "redim2d-3-theta1-nodes",
         "redim2d-3-theta2-nodes", "mesh-points-string", "mesh-points-zero",
         "dt-safety-above-1", "fasttime-start-length", "fasttime-start-not-a-list",
         "redim2d-not-a-list", "fasttime-x0-outside",
         "fasttime-x0-boundary-node", "min-gap-ratio-below-1", "model-unknown",
-        "model-params-string", "gql-mode-unknown", "redim-grad-unknown"])
+        "model-params-string", "gql-mode-unknown", "redim-grad-unknown",
+        "redim-grad-const-nan", "redim-grad-const-inf", "delta-infinite", "L1-nan",
+        "linear-diffusion-nan", "linear-z-star-infinite"])
 def test_bad_config_value_exits_2_before_any_stage(tmp_path, capsys, bad, key):
     cfg = _write_config(tmp_path, bad)
     out = tmp_path / "out"
@@ -139,8 +151,12 @@ LINEAR4 = {"model": "linear", "fasttime_start": [2.0, 0.0, 1.0, 0.0],
     (["model"], {"model": "linear", "model_params": {"A": 5, "z_star": [1.0]}}, None),
     (["model"], {"model": "linear", "model_params": {"A": [[1, 2], [3]], "z_star": [1, 1]}},
      None),
+    (["equilibrium", "--guess", "0,0,nan"], None, None),
+    (["equilibrium", "--guess", "1,2"], None, None),
+    (["pipeline"], {"out_dir": 5}, None),
 ], ids=["grad-file-missing", "grad-file-non-numeric", "redim2d-four-species",
-        "linear-a-scalar", "linear-a-ragged"])
+        "linear-a-scalar", "linear-a-ragged", "guess-non-finite", "guess-length",
+        "out-dir-not-a-path"])
 def test_bad_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys, argv, extra, csv):
     monkeypatch.chdir(tmp_path)
     if csv:
@@ -151,6 +167,115 @@ def test_bad_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys, argv
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _no_stage(*args, **kwargs):
+    raise AssertionError("a stage ran before the flags were checked")
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["model", "--model", "nope"], "model"),
+    (["pde-solve", "--nodes", "2", "--out", "p.csv"], "nodes"),
+    (["pde-solve", "--tol", "nan", "--out", "p.csv"], "steady_tol"),
+    (["redim", "--dim", "1", "--grad", "missing.csv", "--out", "r.csv"], "redim_grad"),
+    (["redim", "--dim", "1", "--grad", "bad.csv", "--out", "r.csv"], "redim_grad"),
+    (["redim", "--dim", "2", "--grad", "one.csv", "--out", "r.csv"], "redim_grad"),
+    (["redim", "--dim", "1", "--grad", "const:nan", "--out", "r.csv"], "redim_grad"),
+    (["redim", "--dim", "1", "--grad", "", "--out", "r.csv"], "redim_grad"),
+    (["fast-time", "--mode", "pde", "--x0", "0.999"], "fasttime_x0"),
+    (["fast-time", "--mode", "ode", "--start", "1,2"], "fasttime_start"),
+    (["fast-time", "--mode", "ode", "--start", "0,0,nan"], "fasttime_start"),
+    (["pipeline", "--out-dir", ""], "out_dir"),
+], ids=["model", "nodes", "steady-tol-nan", "grad-file-missing", "grad-file-non-numeric",
+        "grad-file-one-species", "grad-const-nan", "grad-empty", "x0-boundary-node", "start-length", "start-nan",
+        "out-dir-empty"])
+def test_bad_config_flag_exits_2_before_any_stage(tmp_path, monkeypatch, capsys, argv, key):
+    """A flag that names a config key is checked with the config, so no
+    stage runs: each stage entry point here raises if it is reached."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.csv").write_text("x,X,Y,Z\n0,1,2,3\n0.5,a,2,3\n1,1,2,3\n")
+    (tmp_path / "one.csv").write_text("x,a\n0,1\n0.5,2\n1,3\n")
+    for name in ("equilibrium", "run_gql", "integrate_to_steady"):
+        monkeypatch.setattr(cli, name, _no_stage)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and key in captured.err
+    assert "Traceback" not in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "one.csv"]
+
+
+def test_unparsable_state_flag_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fast-time", "--mode", "ode", "--start", "2,zero,1"])
+    assert exc.value.code == 2
+    assert "cannot parse state '2,zero,1'" in capsys.readouterr().err
+
+
+def test_equilibrium_tol_is_not_the_steady_tol(monkeypatch):
+    """Only pde-solve's --tol names ``steady_tol``; equilibrium's is its own."""
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, "equilibrium", lambda config, args: seen.append(
+        (config, args)) or 0)
+    assert main(["equilibrium", "--tol", "1e-3"]) == 0
+    (config, args), = seen
+    assert config.steady_tol == RunConfig().steady_tol and args.tol == 1e-3
+
+
+@pytest.mark.parametrize("flag, env, config_out, expected", [
+    ("flag", "env", "config", "flag"),
+    (None, "env", "config", "env"),
+    (None, "", "config", "config"),
+    (None, None, "config", "config"),
+    (None, None, None, "out"),
+])
+def test_out_dir_precedence(tmp_path, monkeypatch, flag, env, config_out, expected):
+    """--out-dir, then FASTSLOW_OUT (unless empty), then the config file, then
+    the default."""
+    seen = []
+    monkeypatch.setattr(cli, "run_pipeline",
+                        lambda config, out_dir=None: seen.append((config, out_dir)) or {})
+    if env is None:
+        monkeypatch.delenv("FASTSLOW_OUT", raising=False)
+    else:
+        monkeypatch.setenv("FASTSLOW_OUT", env)
+    cfg = _write_config(tmp_path, config_out and {"out_dir": config_out})
+    assert main(["pipeline", "--config", cfg] + (["--out-dir", flag] if flag else [])) == 0
+    (config, out_dir), = seen
+    assert (out_dir or config.out_dir) == expected
+
+
+@pytest.mark.parametrize("mode", ["ode", "pde"])
+@pytest.mark.parametrize("flag, value, key", [
+    ("--start", "1.5,0.2,0.8", "fasttime_start"),
+    ("--x0", "0.5", "fasttime_x0"),
+])
+def test_fast_time_flag_equals_its_config_key(tmp_path, mode, flag, value, key):
+    """A fast-time flag gives the same rows as its config key; ``--start`` is
+    the ODE start and the PDE's right boundary, so it moves both rows."""
+    config_value = [float(v) for v in value.split(",")] if key == "fasttime_start" else float(value)
+    cfg, cfg_key = _write_config(tmp_path), str(tmp_path / "key.json")
+    Path(cfg_key).write_text(json.dumps({**FAST_CONFIG, key: config_value}))
+
+    def rows(*argv):
+        out = tmp_path / "fasttime.csv"
+        assert main(["fast-time", "--mode", mode, "--out", str(out), *argv]) == 0
+        return np.loadtxt(out, delimiter=",", skiprows=2)
+
+    by_flag = rows("--config", cfg, flag, value)
+    assert np.array_equal(by_flag, rows("--config", cfg_key))
+    moves = key == "fasttime_start" or mode == "pde"
+    assert np.array_equal(by_flag, rows("--config", cfg)) != moves
+
+
+def test_redim_grad_from_the_pipeline_profile_csv(tmp_path):
+    """``redim_grad`` naming the pipeline's own stationary_profile.csv gives
+    the REDIMs of ``profile``: the CSV keeps 17 digits, so it round-trips."""
+    paths = run_pipeline(load_config(_write_config(tmp_path)), str(tmp_path / "a"))
+    config = load_config(_write_config(tmp_path,
+                                       {"redim_grad": paths["stationary_profile"]}))
+    from_csv = run_pipeline(config, str(tmp_path / "b"))
+    for name in paths:
+        assert Path(from_csv[name]).read_bytes() == Path(paths[name]).read_bytes(), name
 
 
 def test_subcommands_write_the_pipeline_artifacts(tmp_path):

@@ -57,12 +57,21 @@ def test_dimension_mismatch():
 
 
 def test_negative_diffusion_rejected():
+    """Also NaN and inf: ``NaN < 0`` is False, so a sign test alone passes it."""
     from fastslow.core import ReactionDiffusionModel
-    with pytest.raises(ContractViolationError):
-        ReactionDiffusionModel(
-            name="bad", species=("a",), source=lambda z: z,
-            diffusion=np.array([-0.1]),
-        )
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ContractViolationError, match="finite and >= 0"):
+            ReactionDiffusionModel(
+                name="bad", species=("a", "b"), source=lambda z: z,
+                diffusion=np.array([0.1, bad]),
+            )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_as_state_rejects_non_finite_components(bad):
+    from fastslow.core import as_state
+    with pytest.raises(ContractViolationError, match="finite"):
+        as_state([1.0, bad, 0.0], 3)
 
 
 def test_full_rhs_constant_profile_equals_source():

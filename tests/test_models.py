@@ -28,6 +28,15 @@ def test_param_validation():
         MichaelisMentenParams(L1=1.0)
 
 
+@pytest.mark.parametrize("name", ["L1", "L2", "L3", "L4", "mu", "delta"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_params_must_be_finite(name, bad):
+    """NaN passes every sign test (its comparisons are False), and an infinite
+    rate overflows only inside a stage."""
+    with pytest.raises(ContractViolationError, match=f"must be finite.*'{name}': {bad}"):
+        MichaelisMentenParams(**{name: bad})
+
+
 @pytest.mark.parametrize(
     "z, expected",
     [
