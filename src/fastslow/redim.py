@@ -36,7 +36,7 @@ from .errors import (
     NumericalError,
     ParametrizationError,
 )
-from .steady import MAX_ITERATIONS, band_assembler, difference_matrix, relax_free
+from .steady import DTAU0, MAX_ITERATIONS, band_assembler, difference_matrix, relax_free
 
 __all__ = [
     "GradientEstimate",
@@ -55,10 +55,11 @@ __all__ = [
 
 GRAM_COND_LIMIT = 1e12
 # coarsest level of the REDIM-2D grid sequencing: at 61 x 61 a further
-# 16 x 16 level cost more PTC time than it saved
+# 16 x 16 level took 10 + 3 + 3 steps in 0.053 s against 10 + 3 in 0.050 s
 COARSEST = 31
-# PTC steps a coarse level may take: it relaxes in 9-12 where it helps, and
-# one that does not is no better a start than the straight line
+# steps a coarse level may take, and as many for its Newton attempt: from the
+# line it relaxes in 9-12 where it helps, and one that does not is no better
+# a start than the straight line
 COARSE_STEPS = 20
 
 
@@ -334,13 +335,16 @@ def evolve_redim_2d(model: ReactionDiffusionModel, theta1_range, theta2_range,
     ``2 * COARSEST - 1`` is grid-sequenced: the nested grid of
     ``((M1 + 1) / 2, (M2 + 1) / 2)`` nodes is solved first, the same way,
     and its solution, interpolated bilinearly, starts the nodes that relax;
-    the held nodes keep the straight line.  The enzyme model at 61 x 61
-    then takes 10 + 6 PTC steps (31 x 31, then 61 x 61) instead of 10
-    from the line, and 121 x 121 takes 10 + 6 + 5 instead of 10; with
-    ``tol`` = 1e-8 the result lies within 9.6e-10 and 1.4e-8 of the
-    unsequenced solve.  A coarse level that does not relax within
-    COARSE_STEPS steps is dropped, and the finer grid starts from the
-    line.  ``hold`` selects
+    the held nodes keep the straight line.  A level so started takes Newton
+    steps, and restarts PTC from the same start at the first step that does
+    not lower the residual (:func:`~fastslow.steady.relax_free` with
+    ``dtau0 = inf``), so a failed attempt costs its steps only.  The
+    enzyme model at 61 x 61 then takes 10 + 3 steps (10 PTC steps at
+    31 x 31, then 3 Newton steps at 61 x 61) instead of 10 from the line,
+    and 121 x 121 takes 10 + 3 + 3 instead of 10; with ``tol`` = 1e-8 the
+    result lies within 9.6e-10 and 1.4e-8 of the unsequenced solve.  A
+    coarse level that does not relax within COARSE_STEPS steps is dropped,
+    and the finer grid starts from the line with PTC.  ``hold`` selects
     which boundary nodes stay pinned at their initial values:
 
     - ``"theta1"`` (default): only the theta1-extreme edges, where the
@@ -389,6 +393,7 @@ def _evolve_redim_2d(model, theta1_range, theta2_range, M1, M2, grad, tol, initi
 
     free = (slice(None) if hold == "none" else slice(1, -1),
             slice(1, -1) if hold == "all" else slice(None))
+    dtau0 = DTAU0
     if initial_z is not None:
         Zv = np.array(initial_z, dtype=float)
         if Zv.shape != (M1, M2):
@@ -410,6 +415,7 @@ def _evolve_redim_2d(model, theta1_range, theta2_range, M1, M2, grad, tol, initi
                 pass  # the coarse grid need not relax where this one does: keep the line
             else:
                 Zv[free] = _prolong(_prolong(coarse.Z_values, 0), 1)[free]
+                dtau0 = np.inf  # near the solution: Newton, or PTC if a step fails
 
     if grad is None:
         grad = constant_gradient((0.0, 0.0), "2d")
@@ -444,5 +450,5 @@ def _evolve_redim_2d(model, theta1_range, theta2_range, M1, M2, grad, tol, initi
                              -Phi[free][..., 0], -Phi[free][..., 1]] + [
                 delta * C[free] for C in (C1 * C1, 2.0 * C1 * C2, C2 * C2)])
         return ((Phi[..., 2] + LZ) - Z1 * Phi[..., 0] - Z2 * Phi[..., 1])[free], jac
-    Zv, _ = relax_free(rate, Zv, free, tol, max_steps)
+    Zv, _ = relax_free(rate, Zv, free, tol, max_steps, dtau0)
     return Manifold2D(theta1_grid=t1, theta2_grid=t2, Z_values=Zv, chi1=C1, chi2=C2)

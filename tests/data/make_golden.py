@@ -35,7 +35,15 @@ float fields named in ``fields``, one row per case, and ``ode_steps`` and
 3156dd7; ``tests/test_fasttime.py`` checks that the current measurement
 returns the same reports.
 
-Usage: PYTHONPATH=src python tests/data/make_golden.py [--mesh | --fasttime | --reports] [out.npz]
+With ``--histories`` it writes the ``residual_history`` of the stationary
+profile at N = 51, 101 and 201 (``SolverSettings`` defaults otherwise) to
+``golden_histories.npz``, one ``(steps + 1, 2)`` array per N under ``n51``,
+``n101`` and ``n201``.  The committed file was written at commit db4f6ed,
+before REDIM-2D levels started from a prolonged solution took Newton steps;
+``tests/test_steady.py`` checks that the profile's cold solves still take
+the same steps, bit for bit.
+
+Usage: PYTHONPATH=src python tests/data/make_golden.py [--mesh | --fasttime | --reports | --histories] [out.npz]
 """
 
 import dataclasses
@@ -131,10 +139,17 @@ def write_reports(out, model, z_eq):
              pde_steps=np.array([r.steps for r in pde]))
 
 
+def write_histories(out, model, z_eq):
+    bc = BoundaryConditions(left_state=z_eq, right_state=np.array([2.0, 0.0, 1.0]))
+    np.savez(out, **{f"n{n}": np.array(integrate_to_steady(
+        model, bc, SolverSettings(node_count=n)).residual_history) for n in (51, 101, 201)})
+
+
 WRITERS = {"": ("golden.npz", write_steady),
            "--mesh": ("golden_mesh.npz", write_mesh),
            "--fasttime": ("golden_fasttime.npz", write_fasttime),
-           "--reports": ("golden_fasttime_reports.npz", write_reports)}
+           "--reports": ("golden_fasttime_reports.npz", write_reports),
+           "--histories": ("golden_histories.npz", write_histories)}
 
 
 def main(argv):

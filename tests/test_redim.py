@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -305,10 +307,12 @@ def test_redim2d_contains_the_profile_at_second_order(mm_model, mm_bc):
     """The REDIM-2D on M x M nodes, with chi from the (2M - 1)-node profile,
     against that profile (``perfbench/checks.containment_error``: sup |Z|
     distance at equal (X, Y)) for M = 31, 61 and 121: measured 1.149e-3,
-    3.386e-4 and 9.600e-5, observed orders 1.762 and 1.819 (1.88 at M = 241
-    outside this suite).  The orders still rise towards 2, so the finest is
-    held to [1.75, 2.15]: 0.07 below the measured value, the upper bound that
-    of the REDIM-1D test."""
+    3.386e-4 and 9.600e-5, observed orders 1.762 and 1.819 (1.880 at M = 241
+    outside this suite), the same to these digits whether the sequenced
+    levels start with Newton steps (10, 10 + 3, 10 + 3 + 3 steps) or with
+    PTC (10, 10 + 6, 10 + 6 + 6).  The orders still rise towards 2, so the
+    finest is held to [1.75, 2.15]: 0.07 below the measured value, the upper
+    bound that of the REDIM-1D test."""
     from scipy.interpolate import RegularGridInterpolator
     dists = []
     for M in (31, 61, 121):
@@ -338,9 +342,10 @@ def _straight_line(mm_bc, M):
 
 
 def test_sequenced_redim2d_matches_the_unsequenced_solve(mm_model, mm_bc, mm_grad2, redim2d_mm):
-    """The 61 x 61 REDIM-2D starts from its 31 x 31 solution; given the
-    straight line as ``initial_z`` it relaxes from there instead.  Each stops
-    with a residual below ``tol``.  The node term of the Z rate's Jacobian,
+    """The 61 x 61 REDIM-2D starts from its 31 x 31 solution, with Newton
+    steps; given the straight line as ``initial_z`` it relaxes from there
+    with PTC instead.  Each stops with a residual below ``tol`` (4.4e-9 and
+    1.5e-10).  The node term of the Z rate's Jacobian,
     J_ZZ - Z_X J_XZ - Z_Y J_YZ, lies in [-18.6, -0.22] over the solution, so
     each stop lies within about ``tol / 0.22`` of the fixed point and the two
     within ``2 tol / 0.22`` = 9.1e-8 (measured 9.6e-10).  The held theta1
@@ -352,6 +357,37 @@ def test_sequenced_redim2d_matches_the_unsequenced_solve(mm_model, mm_bc, mm_gra
     assert np.abs(seq - cold.Z_values).max() <= 2.0 * tol / 0.22
     assert np.array_equal(seq[[0, -1]], line[[0, -1]])
     assert np.array_equal(cold.Z_values[[0, -1]], line[[0, -1]])
+
+
+def test_redim2d_whose_newton_start_fails_relaxes_from_the_prolonged_start(
+        monkeypatch, mm_model, mm_bc, mm_grad2):
+    """The 61 x 61 level's first Newton step is made to return a NaN residual:
+    the level restarts PTC from its prolonged 31 x 31 start, bit for bit as
+    if that start were ``initial_z``, and its history logs the failed step."""
+    from fastslow import redim, steady
+    starts, histories = [], []
+
+    def newton_fails(rate, initial, free, tol, max_steps, dtau0):
+        if dtau0 == np.inf:
+            starts.append(initial)
+            calls, plain = itertools.count(), rate
+
+            def rate(A):  # NaN after the first step, and only there
+                R, jac = plain(A)
+                return (R + np.nan if next(calls) == 1 else R), jac
+        A, history = steady.relax_free(rate, initial, free, tol, max_steps, dtau0)
+        histories.append(history)
+        return A, history
+
+    anchors = (float(mm_bc.left_state[2]), float(mm_bc.right_state[2]))
+    setup = dict(theta1_range=(0.0, 2.0), theta2_range=(0.0, 1.0), grad=mm_grad2, M1=61, M2=61)
+    with monkeypatch.context() as m:
+        m.setattr(redim, "relax_free", newton_fails)
+        sequenced = evolve_redim_2d(mm_model, **setup, anchor_values=anchors)
+    assert len(starts) == 1 and len(histories) == 2
+    assert histories[1][1][0] == np.inf and np.isnan(histories[1][1][1])
+    cold = evolve_redim_2d(mm_model, **setup, initial_z=starts[0])
+    assert np.array_equal(sequenced.Z_values, cold.Z_values)
 
 
 def test_redim2d_whose_coarse_level_fails_starts_from_the_line(mm_model, mm_bc):

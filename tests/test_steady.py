@@ -25,6 +25,9 @@ from fastslow.steady import (
 # written by tests/data/make_golden.py (see its docstring for the commit).
 GOLDEN = np.load(Path(__file__).parent / "data" / "golden.npz")
 GOLDEN_TOL = 1e-6
+# The profile's residual histories at N = 51, 101 and 201, written by
+# tests/data/make_golden.py --histories (see its docstring for the commit).
+GOLDEN_HISTORIES = np.load(Path(__file__).parent / "data" / "golden_histories.npz")
 
 
 def test_profile_matches_rk4_golden(steady_101):
@@ -150,15 +153,48 @@ def test_redim_iteration_counts_are_pinned(monkeypatch, mm_model, mm_bc, mm_grad
     one it replaced: 10 for REDIM-1D at M = 101 and 10 for REDIM-2D from the
     straight line (the configurations of the conftest fixtures).  The 61 x 61
     REDIM-2D is grid-sequenced: 10 steps at 31 x 31 from the line, then at
-    most 6 at 61 x 61 from the interpolated coarse solution."""
+    most 3 Newton steps at 61 x 61 from the interpolated coarse solution
+    (6 PTC steps from ``DTAU0``).  The profile's solves start cold, and keep
+    their histories bit for bit."""
     histories = _recorded(monkeypatch, redim)
     evolve_redim_1d(mm_model, (mm_bc.left_state, mm_bc.right_state), M=101, grad=mm_grad1)
     evolve_redim_2d(mm_model, (0.0, 2.0), (0.0, 1.0), M1=61, M2=61, grad=mm_grad2,
                     anchor_values=(float(mm_bc.left_state[2]), float(mm_bc.right_state[2])))
     steps = [len(h) - 1 for h in histories]
     assert len(steps) == 3, steps
-    assert steps[0] <= 10 and steps[1] <= 10 and steps[2] <= 6, steps
+    assert steps[0] <= 10 and steps[1] <= 10 and steps[2] <= 3, steps
     assert all(h[-1][1] < 1e-8 for h in histories)
+    assert all(tau == np.inf for tau, _ in histories[2][1:])  # no step was rejected
+    for n in (51, 101, 201):
+        got = integrate_to_steady(mm_model, mm_bc, SolverSettings(node_count=n))
+        assert np.array_equal(np.array(got.residual_history), GOLDEN_HISTORIES[f"n{n}"])
+
+
+def _arctan_rate(A):
+    """``-arctan(A)``, node by node: its Newton step overshoots from ``|A| >
+    1.39`` (``2 -> -3.54``) and converges from below."""
+    def jac():
+        return 0, np.asfortranarray(-1.0 / (1.0 + A[None] ** 2), dtype=np.float32)
+    return -np.arctan(A), jac
+
+
+def test_failed_newton_attempt_restarts_the_cold_solve():
+    """From a start where the Newton step raises the residual, ``dtau0 = inf``
+    logs that step and returns the cold solve's array and history after it;
+    from a start in Newton's basin, it converges in Newton steps alone, in
+    fewer of them than the cold solve."""
+    far, near = np.array([2.0, 0.5, -1.0]), np.array([0.5, -0.3, 1.0])
+    cold_A, cold = relax_free(_arctan_rate, far, np.s_[:], 1e-10)
+    A, history = relax_free(_arctan_rate, far, np.s_[:], 1e-10, dtau0=np.inf)
+    assert np.array_equal(A, cold_A)
+    assert history[0] == cold[0] and history[2:] == cold
+    assert history[1][0] == np.inf and history[1][1] > history[0][1]
+
+    A, history = relax_free(_arctan_rate, near, np.s_[:], 1e-10, dtau0=np.inf)
+    assert all(tau == np.inf for tau, _ in history[1:])
+    assert all(b < a for (_, a), (_, b) in zip(history, history[1:]))
+    assert history[-1][1] < 1e-10
+    assert len(history) < len(relax_free(_arctan_rate, near, np.s_[:], 1e-10)[1])
 
 
 def _isin_difference_matrix(m, d, order, s):
