@@ -84,14 +84,28 @@ class FastTimeReport:
 
 
 def fast_residual_norm(dec: GqlDecomposition, model: ReactionDiffusionModel, z) -> float:
-    """Rate-normalized fast residual ghat(z)."""
-    g = dec.Zt_f @ eval_source(model, z)
-    return float(np.linalg.norm(g) / dec.fast_rate)
+    """Rate-normalized fast residual ghat(z), with ``g = Zt_f phi(z)``.
+
+    Where ``g . g`` fits in a float this is ``np.linalg.norm``'s
+    ``sqrt(g . g)``, bit for bit; where it overflows, the norm of ``g``
+    scaled by its largest magnitude, inf only where that norm is beyond the
+    float range.  No floating-point warning is raised either way.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = dec.Zt_f @ eval_source(model, z)
+        square = float(g @ g)
+    if square < math.inf:
+        return math.sqrt(square) / dec.fast_rate
+    scale = float(np.abs(g).max())
+    if not scale < math.inf:
+        return math.inf
+    u = g / scale
+    return scale * math.sqrt(float(u @ u)) / dec.fast_rate
 
 
 def slow_neighborhood_test(dec: GqlDecomposition, model: ReactionDiffusionModel, z) -> bool:
     """True iff ghat(z) < sqrt(epsilon)."""
-    return fast_residual_norm(dec, model, z) < np.sqrt(dec.epsilon)
+    return fast_residual_norm(dec, model, z) < math.sqrt(dec.epsilon)
 
 
 def _default_dt(dec: GqlDecomposition) -> float:
@@ -131,30 +145,31 @@ def _diffusion_solver(diffusion, node_count: int, dx: float, dt: float):
     factors = sla.lapack.dgttrf(off[:-1], np.repeat(1.0 + 2.0 * a, m), off[:-1])[:5]
 
     def solve(b):
-        rhs = b[1:-1].copy()
-        rhs[0] += a * b[0]
-        rhs[-1] += a * b[-1]
+        rhs = b[1:-1].T.copy()  # species after species, as the systems are stacked
+        rhs[:, 0] += a * b[0]
+        rhs[:, -1] += a * b[-1]
         x = b.copy()
-        x[1:-1] = sla.lapack.dgttrs(*factors, rhs.T.ravel())[0].reshape(n, m).T
+        x[1:-1] = sla.lapack.dgttrs(*factors, rhs.ravel(), overwrite_b=True)[0].reshape(n, m).T
         return x
     return solve
 
 
 def _measure(dec, model, y, track, dt, max_time, terms, solver):
-    """Integrate dy/dt = f(y) + L y until ``y[track]`` enters the slow
+    """Integrate dy/dt = f(y) + L y until the tracked state enters the slow
     neighborhood and compare the entry time with the bound.
 
     One ARS(2,2,2) step: ``terms(Y)`` gives the explicit source ``f(Y)`` and
     the transport ``L Y``, and ``solver(dt)`` the implicit-stage solve
-    ``b -> (I - GAMMA dt L)^(-1) b``.  Without transport (the ODE) ``solver``
-    is None: the implicit stages are the identity, ``terms`` gives the
-    transport 0.0 and no K sample is taken.  The terms of each new state
-    serve three uses: the entry test of ``y[track]``, a K sample if it has
-    not entered, and the first stage of the next step.  The default ``dt``
-    is :func:`_default_dt`.
+    ``b -> (I - GAMMA dt L)^(-1) b``; the tracked state is ``y[track]``.
+    Without transport (the ODE) ``solver`` and ``track`` are None: ``y`` is
+    the tracked state, ``terms`` gives the transport None, and the step
+    skips the implicit stages (the identity), the transport and its K
+    sample.  The terms of each new state serve three uses: the entry test
+    of the tracked state, a K sample if it has not entered, and the first
+    stage of the next step.  The default ``dt`` is :func:`_default_dt`.
     """
-    threshold = float(np.sqrt(dec.epsilon))
-    z0 = y[track]
+    threshold = math.sqrt(dec.epsilon)
+    z0 = y if track is None else y[track]
     g = fast_residual_norm(dec, model, z0)
     if g < threshold:
         raise ContractViolationError("the start state already lies in the slow neighborhood")
@@ -163,14 +178,12 @@ def _measure(dec, model, y, track, dt, max_time, terms, solver):
     if max_time is None:
         max_time = 200.0 / dec.fast_rate
     _check_step(dec, dt, max_time)
-    solve = (lambda b: b) if solver is None else solver(dt)
-    # hoisted out of the loop: the decomposition's properties recompute on
-    # each access
-    Zt_f, fast_rate = dec.Zt_f, dec.fast_rate
+    if solver is not None:
+        solve = solver(dt)
     gamma_dt, transport_dt, rest = GAMMA * dt, (1.0 - GAMMA) * dt, 1.0 - DELTA
     t = K = path = 0.0
     steps = 0
-    U0 = U_prev = Zt_f @ z0
+    U0 = U_prev = dec.Zt_f @ z0
     # an unstable step overflows; the finiteness check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         F1, L1 = terms(y)
@@ -179,21 +192,24 @@ def _measure(dec, model, y, track, dt, max_time, terms, solver):
                 raise ConvergenceError(
                     f"tracked state did not enter the slow neighborhood by t = {max_time:g}"
                 )
-            if solver is not None:
+            if solver is None:
+                y = z = y + dt * (DELTA * F1 + rest * terms(y + gamma_dt * F1)[0])
+            else:
                 K = max(K, _transport_ratio_max(dec, F1, L1))
-            F2, L2 = terms(solve(y + gamma_dt * F1))
-            y = solve(y + dt * (DELTA * F1 + rest * F2) + transport_dt * L2)
+                F2, L2 = terms(solve(y + gamma_dt * F1))
+                y = solve(y + dt * (DELTA * F1 + rest * F2) + transport_dt * L2)
+                z = y[track]
             steps += 1
             if not np.isfinite(y).all():
                 raise DivergenceError(
                     f"transient became non-finite by t = {t + dt:g} (dt = {dt:g})")
-            U = Zt_f @ y[track]
+            U = dec.Zt_f @ z
             dU = U - U_prev
             path += math.sqrt(dU @ dU)  # np.linalg.norm's formula for a real vector
             U_prev = U
             F1, L1 = terms(y)
-            gf = Zt_f @ F1[track]
-            g_new = math.sqrt(gf @ gf) / fast_rate
+            gf = dec.Zt_f @ (F1 if track is None else F1[track])
+            g_new = math.sqrt(gf @ gf) / dec.fast_rate
             if g_new < threshold:
                 break
             g = g_new
@@ -224,8 +240,8 @@ def measure_fast_time_ode(dec: GqlDecomposition, model: ReactionDiffusionModel,
                           max_time: float | None = None) -> FastTimeReport:
     """Integrate dz/dt = phi(z) and time the entry into the slow neighborhood:
     the PDE measurement on one node without transport."""
-    return _measure(dec, model, as_state(z0, model.dimension), ..., dt, max_time,
-                    lambda y: (model.source(y), 0.0), None)
+    return _measure(dec, model, as_state(z0, model.dimension), None, dt, max_time,
+                    lambda y: (model.source(y), None), None)
 
 
 def _transport_ratio_max(dec, source, transport):
@@ -263,7 +279,7 @@ def measure_fast_time_pde(dec: GqlDecomposition, model: ReactionDiffusionModel,
 
     def terms(S):
         # the held end rows get neither source nor transport
-        F, L = np.zeros_like(S), np.zeros_like(S)
+        F, L = np.zeros((2,) + S.shape)
         F[1:-1], L[1:-1] = interior_terms(model, S, dx)
         return F, L
 

@@ -13,6 +13,7 @@ off the resulting :class:`GqlDecomposition`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -63,19 +64,22 @@ class GqlDecomposition:
     Z_tilde: np.ndarray
     epsilon: float
 
-    @property
+    # Derived once per instance: a cached_property writes the instance
+    # __dict__ directly, past the frozen __setattr__, and
+    # dataclasses.replace builds a new instance with an empty cache.
+    @cached_property
     def Z_f(self) -> np.ndarray:
         return self.Z[:, : self.n_f]
 
-    @property
+    @cached_property
     def Z_s(self) -> np.ndarray:
         return self.Z[:, self.n_f:]
 
-    @property
+    @cached_property
     def Zt_f(self) -> np.ndarray:
         return self.Z_tilde[: self.n_f]
 
-    @property
+    @cached_property
     def Zt_s(self) -> np.ndarray:
         return self.Z_tilde[self.n_f:]
 
@@ -87,12 +91,12 @@ class GqlDecomposition:
     def fast_eigenvalues(self) -> np.ndarray:
         return self.eigenvalues[self.split_index:]
 
-    @property
+    @cached_property
     def fast_rate(self) -> float:
         """Smallest fast eigenvalue magnitude (slowest fast rate)."""
         return float(np.abs(self.fast_eigenvalues).min())
 
-    @property
+    @cached_property
     def slow_rate(self) -> float:
         """Largest slow eigenvalue magnitude (fastest slow rate)."""
         return float(np.abs(self.slow_eigenvalues).max())

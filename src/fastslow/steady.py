@@ -31,6 +31,10 @@ DTAU0 = 0.1           # first pseudo-time step, in the model's time units
 MAX_ITERATIONS = 200
 HALVINGS = 40         # step lengths 1, 1/2, ..., 2**-39 per damped-Newton line search
 BLOCK = 8             # shorter step lengths evaluated in one call
+# the full step, then the shorter lengths in blocks: 1 | 2**-1 .. 2**-8 | ...,
+# each a (lengths, 1, 1) column that scales a stack of steps
+_STEP_BLOCKS = [b[:, None, None] for b in np.split(np.ldexp(1.0, -np.arange(HALVINGS)),
+                                                   range(1, HALVINGS, BLOCK))]
 
 
 def difference_matrix(m, d, order, s=np.s_[:]):
@@ -183,44 +187,50 @@ def damped_newton(phi, jacobian, P, B, offset, U0, tol, max_iter):
     raises for any of them).  A row freezes when it converges, when no
     length decreases its residual or when its reduced Jacobian is
     singular.  Only rows still iterating are evaluated, and each row takes
-    the step it would take alone.  Returns ``(z, converged, singular,
+    the step it would take alone.  An iteration's work is proportional to
+    its live rows, kept as an ascending index array; the blocks of lengths
+    are built once, at import, and a row's offset is broadcast over them,
+    so a one-row solve costs its kernel calls and a few dozen small array
+    operations per iteration.  Returns ``(z, converged, singular,
     residual)``, one entry per row: the last iterate, whether its residual
     is below ``tol``, whether it stopped on a singular Jacobian, and
     ``|g|_inf`` there.
     """
-    m = offset.shape[0]
-    U = np.zeros((m, B.shape[1])) if U0 is None else np.array(
-        np.broadcast_to(U0, (m, B.shape[1])), dtype=float)
-    z = U @ B.T + offset
-    g = phi(z) @ P.T
+    m, k = offset.shape[0], B.shape[1]
+    PT, BT = P.T, B.T
+    U = np.zeros((m, k))
+    if U0 is not None:
+        U[:] = U0
+    z = U @ BT + offset
+    n = z.shape[1]
+    g = phi(z) @ PT
     gnorm = np.abs(g).max(axis=1)
-    live = np.ones(m, dtype=bool)
     singular = np.zeros(m, dtype=bool)
-    # the full step, then the shorter lengths in blocks: 1 | 2**-1 .. 2**-8 | ...
-    blocks = np.split(np.ldexp(1.0, -np.arange(HALVINGS)), range(1, HALVINGS, BLOCK))
+    rows = np.arange(m)  # the rows still iterating, ascending
     for _ in range(max_iter):
-        live &= ~(gnorm < tol)
-        rows = np.flatnonzero(live)
+        rows = rows[~(gnorm[rows] < tol)]
         if rows.size == 0:
             break
         dU, ok = _solve_rows(P @ jacobian(z[rows]) @ B, -g[rows])
-        singular[rows[~ok]] = True
-        live[rows[~ok]] = False
-        rows, dU = rows[ok], dU[ok]
-        for steps in blocks:
-            U_new = (U[rows] + steps[:, None, None] * dU).reshape(-1, dU.shape[1])
-            z_new = U_new @ B.T + np.tile(offset[rows], (len(steps), 1))
-            g_new = phi(z_new) @ P.T
-            gnorm_new = np.abs(g_new).max(axis=1).reshape(len(steps), -1)
-            down = gnorm_new < gnorm[rows]
+        if not ok.all():
+            singular[rows[~ok]] = True
+            rows, dU = rows[ok], dU[ok]
+        r = rows  # the rows no length has moved yet
+        for steps in _STEP_BLOCKS:
+            U_new = (U[r] + steps * dU).reshape(-1, k)
+            z_new = ((U_new @ BT).reshape(len(steps), -1, n) + offset[r]).reshape(-1, n)
+            g_new = phi(z_new) @ PT
+            gnorm_new = np.abs(g_new).max(axis=1)
+            down = gnorm_new.reshape(len(steps), -1) < gnorm[r]
             hit = down.any(axis=0)
             # the first length that decreases the residual, as a row of the block
-            pick = down.argmax(axis=0)[hit] * len(rows) + np.flatnonzero(hit)
-            took = rows[hit]
+            pick = down.argmax(axis=0)[hit] * len(r) + np.flatnonzero(hit)
+            took = r[hit]
             U[took], z[took], g[took], gnorm[took] = (
-                U_new[pick], z_new[pick], g_new[pick], gnorm_new.ravel()[pick])
-            rows, dU = rows[~hit], dU[~hit]
-            if rows.size == 0:
+                U_new[pick], z_new[pick], g_new[pick], gnorm_new[pick])
+            if hit.all():
                 break
-        live[rows] = False  # no step length decreased the residual
+            r, dU = r[~hit], dU[~hit]
+        else:  # no length decreased the residual of the rows in r
+            rows = np.delete(rows, np.searchsorted(rows, r))
     return z, gnorm < tol, singular, gnorm

@@ -359,6 +359,18 @@ def test_fast_time_subcommand(tmp_path, capsys):
     assert row[5] <= 1.0  # ratio
 
 
+@pytest.mark.parametrize("mode", ["ode", "pde"])
+def test_fast_time_overflowing_start_exits_3_with_one_error_line(tmp_path, capsys, mode):
+    """A start whose fast residual squares overflow ends in one ``error:``
+    line and exit 3, with no numpy warning before it."""
+    out = tmp_path / "fasttime.csv"
+    assert main(["fast-time", "--config", _write_config(tmp_path), "--mode", mode,
+                 "--start=1e154,1e154,1e154", "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: transient became non-finite")
+    assert not out.exists()
+
+
 def test_pde_solve_non_convergence_exits_3(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"steady_tol": 0.0})
     out = tmp_path / "profile.csv"

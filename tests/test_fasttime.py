@@ -38,7 +38,8 @@ def _prototype(eps):
 # ---------------------------------------------------------------------------
 
 def test_neighborhood_contains_equilibrium(mm_dec, mm_model, mm_eq):
-    assert slow_neighborhood_test(mm_dec.value, mm_model, mm_eq.value)
+    inside = slow_neighborhood_test(mm_dec.value, mm_model, mm_eq.value)
+    assert type(inside) is bool and inside
 
 
 def test_neighborhood_excludes_large_fast_residual():
@@ -46,13 +47,15 @@ def test_neighborhood_excludes_large_fast_residual():
     model = linear_model(A, np.zeros(2))
     dec = spectral_split(A)
     assert dec.epsilon == pytest.approx(0.01)
-    assert not slow_neighborhood_test(dec, model, np.array([0.0, 1.0]))
+    inside = slow_neighborhood_test(dec, model, np.array([0.0, 1.0]))
+    assert type(inside) is bool and not inside
 
 
 def test_neighborhood_contains_mesh_points(mm_mesh, mm_dec, mm_model):
     mesh = mm_mesh.value
     for z in mesh.states[mesh.converged][::7]:
-        assert slow_neighborhood_test(mm_dec.value, mm_model, z)
+        inside = slow_neighborhood_test(mm_dec.value, mm_model, z)
+        assert type(inside) is bool and inside
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +138,42 @@ def test_unstable_transient_raises_divergence():
     bc = BoundaryConditions(np.zeros(3), np.ones(3))
     with pytest.raises(DivergenceError, match="non-finite by t = "):
         measure_fast_time_pde(dec, model, bc, SolverSettings(node_count=21), x0=0.5, dt=0.05)
+
+
+def test_start_with_overflowing_fast_residual_raises_divergence(mm_dec, mm_model, mm_eq):
+    """At (1e154, 1e154, 1e154) the source is finite but the square of its
+    fast residual overflows.  The start check takes the norm without a
+    numpy overflow warning, and both measurements then stop on the
+    transient turning non-finite."""
+    big = np.full(3, 1e154)
+    with pytest.raises(DivergenceError, match="non-finite by t = "):
+        measure_fast_time_ode(mm_dec.value, mm_model, big)
+    bc = BoundaryConditions(mm_eq.value, big)
+    with pytest.raises(DivergenceError, match="non-finite by t = "):
+        measure_fast_time_pde(mm_dec.value, mm_model, bc, SolverSettings(node_count=21), x0=0.5)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e100, 1e154, 1e300])
+def test_fast_residual_norm_is_the_norm_at_every_scale(scale):
+    """ghat equals ``np.linalg.norm`` bit for bit where the squares fit in a
+    float, and stays finite (and exact for one fast coordinate) where they
+    overflow."""
+    A = np.diag([-1e-3, -1.0])
+    model, dec = linear_model(A, np.zeros(2)), spectral_split(A)
+    z = np.array([0.0, 3.0 * scale])
+    g = fast_residual_norm(dec, model, z)
+    assert type(g) is float and g == 3.0 * scale
+    if scale < 1e154:
+        assert g == float(np.linalg.norm(dec.Zt_f @ model.source(z)) / dec.fast_rate)
+
+
+def test_fast_residual_norm_is_inf_only_beyond_the_float_range():
+    """Two fast coordinates of 1e300 have the norm sqrt(2) 1e300 although
+    their squares overflow; two of 1.5e308 have a norm beyond the range."""
+    A = np.diag([-1e-3, -1.0, -1.0])
+    model, dec = linear_model(A, np.zeros(3)), spectral_split(A)
+    assert fast_residual_norm(dec, model, np.array([0.0, 1e300, 1e300])) == 2.0 ** 0.5 * 1e300
+    assert fast_residual_norm(dec, model, np.array([0.0, 1.5e308, 1.5e308])) == np.inf
 
 
 def test_default_step_is_stable_for_the_fastest_source_rate(mm_dec):

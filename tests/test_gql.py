@@ -154,6 +154,37 @@ def test_block_diagonalization_invariants(mm_dec):
     assert np.linalg.norm(rec - T) <= 1e-10 * np.linalg.norm(T)
 
 
+CACHED = {
+    "Z_f": lambda d: d.Z[:, : d.n_f],
+    "Z_s": lambda d: d.Z[:, d.n_f:],
+    "Zt_f": lambda d: d.Z_tilde[: d.n_f],
+    "Zt_s": lambda d: d.Z_tilde[d.n_f:],
+    "fast_rate": lambda d: float(np.abs(d.eigenvalues[d.split_index:]).min()),
+    "slow_rate": lambda d: float(np.abs(d.eigenvalues[: d.split_index]).max()),
+}
+
+
+def test_cached_quantities_follow_the_fields(mm_dec):
+    """The bases' blocks and the two rates are computed once per instance and
+    equal their definitions from the fields, also on a ``dataclasses.replace``
+    copy with another ``Z_tilde`` and other eigenvalues made after the
+    original's values were cached.  The fields stay frozen."""
+    dec = mm_dec.value
+    for name, definition in CACHED.items():
+        assert np.array_equal(getattr(dec, name), definition(dec)), name
+        assert getattr(dec, name) is getattr(dec, name), name
+    other = dataclasses.replace(dec, Z_tilde=2.0 * dec.Z_tilde,
+                                eigenvalues=3.0 * dec.eigenvalues)
+    for name, definition in CACHED.items():
+        assert np.array_equal(getattr(other, name), definition(other)), name
+    for name in ("Zt_f", "Zt_s", "fast_rate", "slow_rate"):  # no stale value carried over
+        assert not np.array_equal(getattr(other, name), getattr(dec, name)), name
+    assert type(other.fast_rate) is float and other.fast_rate == 3.0 * dec.fast_rate
+    for name in ("Z", "Z_tilde", "eigenvalues", "n_f", "Zt_f", "fast_rate"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(dec, name, None)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.floats(min_value=1e-6, max_value=1e6))
 def test_epsilon_invariant_under_scaling(c):
