@@ -378,7 +378,7 @@ def cmd_pde_solve(config: RunConfig, args) -> int:
         write_rows_csv(args.history, ["t", "residual"], result.residual_history,
                        provenance(model, "pde-history"))
     print(f"stationary profile written to {args.out} "
-          f"(t = {result.elapsed_time:.6g}, steps = {result.steps})")
+          f"(steps = {result.steps}, residual = {result.residual_history[-1][1]:.3g})")
     return 0
 
 
@@ -493,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, help="grid nodes (default from config)")
     p.add_argument("--tol", dest="steady_tol", type=float, help="steady-state tolerance")
     p.add_argument("--out", required=True, help="profile CSV path")
-    p.add_argument("--history", help="residual history CSV path")
+    p.add_argument("--history", help="residual history CSV path: one (t, residual) row "
+                   "for the start and each step; a Newton step logs pseudo-time t = inf")
 
     p = sub.add_parser("redim", help="relax a reaction-diffusion manifold")
     common(p)

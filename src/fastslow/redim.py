@@ -296,7 +296,10 @@ def evolve_redim_1d(model: ReactionDiffusionModel, anchors, M: int = 101,
     """Relax the straight-line initial curve to a stationary 1-D manifold.
 
     ``anchors`` are (left_state, right_state); their first components set the
-    theta range and both endpoints stay Dirichlet-pinned throughout.
+    theta range and both endpoints stay Dirichlet-pinned throughout.  The
+    solve takes Newton steps from the line, and restarts PTC from it at the
+    first step that does not lower the residual
+    (:func:`~fastslow.steady.relax_free` with ``dtau0 = inf``).
     """
     left = as_state(anchors[0], model.dimension)
     right = as_state(anchors[1], model.dimension)
@@ -318,7 +321,7 @@ def evolve_redim_1d(model: ReactionDiffusionModel, anchors, M: int = 101,
     assemble = band_assembler(states[inner, 1:].shape, [
         (difference_matrix(M, dth, k, inner), W) for k, W in ((0, None), (1, eye), (2, eye))])
     states, _ = relax_free(lambda S: _rhs_1d_interior(S, chi, dth, model, assemble), states,
-                           np.s_[1:-1, 1:], tol)
+                           np.s_[1:-1, 1:], tol, dtau0=np.inf)
     return Manifold1D(theta_grid=theta, states=states, chi=chi)
 
 

@@ -2,17 +2,25 @@
 and the damped Newton of the equilibrium and the slow-manifold fibres.
 
 The stationary profile and the 1-D and 2-D manifolds are all reached by one
-pseudo-transient continuation (Kelley & Keyes, SIAM J. Numer. Anal. 35,
+pseudo-transient continuation (PTC; Kelley & Keyes, SIAM J. Numer. Anal. 35,
 1998): implicit Euler steps (I / dtau - J) d = F(x), x <- x + d, with dtau
 grown by switched evolution relaxation, dtau <- dtau * |F_old| / |F_new|
 (Mulder & van Leer, JCP 59, 1985).  Far from the solution this follows the
 pseudo-time path; as the residual falls the step becomes Newton's.  Its
 Jacobian is exact, assembled from a 1-D matrix along each grid axis.  A
-start already near the solution (a grid-sequenced REDIM-2D level, started
-from its prolonged coarse solution) skips the pseudo-time phase: it takes
-Newton steps, and restarts the pseudo-time path from the same start at the
-first step that does not lower the residual.  The 61 x 61 REDIM-2D level
-then takes 3 steps instead of 6; a failed attempt costs its steps only.
+start in Newton's basin skips the pseudo-time phase: it takes Newton steps,
+and restarts the pseudo-time path from the same start at the first step
+that does not lower the residual, so a failed attempt costs its steps only.
+
+- The stationary profile and the REDIM-1D start with Newton from their
+  straight lines: 4 steps at N = 51, 101 and 201 (5 at 1601) where PTC
+  takes 11, and 6 at M = 101 where PTC takes 10.
+- A grid-sequenced REDIM-2D level starts with Newton from its prolonged
+  coarse solution: 3 steps at 61 x 61 where PTC takes 6.
+- The REDIM-2D's coarsest level (31 x 31, from its straight line) keeps
+  PTC: there a Newton step raises the residual within the first two, for
+  the profile's closure (2.42 -> 2.53) and for constant chi = 0.1, 0.3,
+  0.5 and 1, so an attempt would cost steps and save none.
 
 The equilibrium and the zero-order slow manifold are small dense problems,
 solved row by row in one batched damped Newton (:func:`damped_newton`).
@@ -99,7 +107,7 @@ def relax_free(rate, initial, free, tol, max_steps=MAX_ITERATIONS, dtau0=DTAU0):
     singular step or ``max_steps`` steps without convergence raise
     ConvergenceError carrying the residual.
 
-    ``dtau0 = inf`` takes Newton steps, for a start near the solution: the
+    ``dtau0 = inf`` takes Newton steps, for a start in Newton's basin: the
     first step that does not lower the residual (or a singular one, or
     ``max_steps`` of them) ends the attempt, and the solve restarts from
     ``initial`` at ``DTAU0``.  The restart is the cold solve, so a failed

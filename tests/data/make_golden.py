@@ -38,10 +38,11 @@ returns the same reports.
 With ``--histories`` it writes the ``residual_history`` of the stationary
 profile at N = 51, 101 and 201 (``SolverSettings`` defaults otherwise) to
 ``golden_histories.npz``, one ``(steps + 1, 2)`` array per N under ``n51``,
-``n101`` and ``n201``.  The committed file was written at commit db4f6ed,
-before REDIM-2D levels started from a prolonged solution took Newton steps;
-``tests/test_steady.py`` checks that the profile's cold solves still take
-the same steps, bit for bit.
+``n101`` and ``n201``.  The committed file was written on top of commit
+d117077, once the profile started with Newton steps from its linear start
+(4 steps at each N, pseudo-time 0 and then ``inf``; 11 PTC steps before);
+``tests/test_steady.py`` checks that the profile still takes the same
+steps, bit for bit.
 
 Usage: PYTHONPATH=src python tests/data/make_golden.py [--mesh | --fasttime | --reports | --histories] [out.npz]
 """

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +337,24 @@ def test_pde_solve_roundtrip(tmp_path, capsys):
     assert first[0].startswith("#") and "michaelis-menten" in first[0]
     assert first[1] == "x,X,Y,Z"
     assert hist.read_text().splitlines()[1] == "t,residual"
+
+
+def test_pde_solve_reports_steps_and_residual(tmp_path, capsys):
+    """The status line names the steps and the final residual, and the
+    history holds the start at t = 0, then one row per Newton step at
+    t = inf: ``steps + 1`` rows, the last of them that residual."""
+    out, hist = tmp_path / "profile.csv", tmp_path / "history.csv"
+    assert main(["pde-solve", "--config", _write_config(tmp_path), "--out", str(out),
+                 "--history", str(hist)]) == 0
+    line = capsys.readouterr().out.strip()
+    match = re.fullmatch(rf"stationary profile written to {re.escape(str(out))} "
+                         r"\(steps = (\d+), residual = (\S+)\)", line)
+    assert match, line
+    steps, residual = int(match[1]), float(match[2])
+    rows = np.loadtxt(hist, delimiter=",", skiprows=2, ndmin=2)
+    assert rows.shape == (steps + 1, 2)
+    assert rows[:, 0].tolist() == [0.0] + [np.inf] * steps
+    assert residual == float(f"{rows[-1, 1]:.3g}") and residual < RunConfig().steady_tol
 
 
 def test_redim_subcommand_constant_gradient(tmp_path):
