@@ -280,7 +280,7 @@ def write_redim(path, dim: int, config: RunConfig, model, bc, profile) -> None:
     if value is None and config.redim_grad != "profile":
         profile = read_profile_csv(config.redim_grad)
     grad = (gradient_estimate_from_profile(profile, mode) if value is None
-            else constant_gradient((value, value) if dim == 2 else value, mode))
+            else constant_gradient(value, mode))
     if dim == 1:
         m = evolve_redim_1d(model, (bc.left_state, bc.right_state),
                             M=config.redim1d_points, grad=grad, tol=config.redim_tol)

@@ -62,17 +62,14 @@ class SteadyResult:
     """A stationary profile and how the solver reached it.
 
     ``residual_history`` holds one ``(pseudo_time, residual)`` pair for the
-    start and each step, ``steps`` is its length less one and
-    ``elapsed_time`` its last pseudo-time.  A Newton step logs pseudo-time
-    ``inf``, so a solve that converges in Newton steps alone reads
-    ``elapsed_time = inf``.  If a Newton step does not lower the residual,
-    the history holds the attempt, that step last, then the history of
-    the pseudo-transient continuation solve from the same start
+    start and each step, and ``steps`` is its length less one.  A Newton
+    step logs pseudo-time ``inf``.  If a Newton step does not lower the
+    residual, the history holds the attempt, that step last, then the
+    history of the pseudo-transient continuation solve from the same start
     (:func:`~fastslow.steady.relax_free`).
     """
 
     profile: SpatialProfile
-    elapsed_time: float
     residual_history: tuple
     steps: int
 
@@ -94,9 +91,9 @@ def integrate_to_steady(model: ReactionDiffusionModel, bc: BoundaryConditions,
 
     Newton steps from the linear start, with pseudo-transient continuation
     from the same start at the first step that does not lower the residual
-    (:func:`~fastslow.steady.relax_free` with ``dtau0 = inf``).  Convergence
-    is judged by the sup-norm of the full interior RHS, which must fall
-    below ``settings.steady_tol``.
+    (:func:`~fastslow.steady.relax_free`).  Convergence is judged by the
+    sup-norm of the full interior RHS, which must fall below
+    ``settings.steady_tol``.
     """
     settings = settings or SolverSettings()
     grid = Grid1D(settings.node_count)
@@ -109,10 +106,9 @@ def integrate_to_steady(model: ReactionDiffusionModel, bc: BoundaryConditions,
     def rate(S):
         return (np.add(*interior_terms(model, S, dx)),
                 lambda: assemble([model.jacobian(S[inner]), 1.0]))
-    states, history = relax_free(rate, initial, inner, settings.steady_tol, dtau0=np.inf)
+    states, history = relax_free(rate, initial, inner, settings.steady_tol)
     return SteadyResult(
         profile=SpatialProfile(grid, states),
-        elapsed_time=history[-1][0],
         residual_history=tuple(history),
         steps=len(history) - 1,
     )

@@ -36,7 +36,7 @@ from .errors import (
     NumericalError,
     ParametrizationError,
 )
-from .steady import DTAU0, MAX_ITERATIONS, band_assembler, difference_matrix, relax_free
+from .steady import band_assembler, difference_matrix, relax_free
 
 __all__ = [
     "GradientEstimate",
@@ -57,10 +57,6 @@ GRAM_COND_LIMIT = 1e12
 # coarsest level of the REDIM-2D grid sequencing: at 61 x 61 a further
 # 16 x 16 level took 10 + 3 + 3 steps in 0.053 s against 10 + 3 in 0.050 s
 COARSEST = 31
-# steps a coarse level may take, and as many for its Newton attempt: from the
-# line it relaxes in 9-12 where it helps, and one that does not is no better
-# a start than the straight line
-COARSE_STEPS = 20
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +295,7 @@ def evolve_redim_1d(model: ReactionDiffusionModel, anchors, M: int = 101,
     theta range and both endpoints stay Dirichlet-pinned throughout.  The
     solve takes Newton steps from the line, and restarts PTC from it at the
     first step that does not lower the residual
-    (:func:`~fastslow.steady.relax_free` with ``dtau0 = inf``).
+    (:func:`~fastslow.steady.relax_free`).
     """
     left = as_state(anchors[0], model.dimension)
     right = as_state(anchors[1], model.dimension)
@@ -321,8 +317,18 @@ def evolve_redim_1d(model: ReactionDiffusionModel, anchors, M: int = 101,
     assemble = band_assembler(states[inner, 1:].shape, [
         (difference_matrix(M, dth, k, inner), W) for k, W in ((0, None), (1, eye), (2, eye))])
     states, _ = relax_free(lambda S: _rhs_1d_interior(S, chi, dth, model, assemble), states,
-                           np.s_[1:-1, 1:], tol, dtau0=np.inf)
+                           np.s_[1:-1, 1:], tol)
     return Manifold1D(theta_grid=theta, states=states, chi=chi)
+
+
+def _prolong(Z, axis):
+    """Linear interpolation of ``Z`` along ``axis`` onto the nested grid of
+    ``2 m - 1`` nodes: the old nodes, and the midpoints between them."""
+    Z = np.moveaxis(Z, axis, 0)
+    out = np.empty((2 * len(Z) - 1,) + Z.shape[1:])
+    out[::2] = Z
+    out[1::2] = 0.5 * (Z[:-1] + Z[1:])
+    return np.moveaxis(out, 0, axis)
 
 
 def evolve_redim_2d(model: ReactionDiffusionModel, theta1_range, theta2_range,
@@ -338,17 +344,21 @@ def evolve_redim_2d(model: ReactionDiffusionModel, theta1_range, theta2_range,
     ``2 * COARSEST - 1`` is grid-sequenced: the nested grid of
     ``((M1 + 1) / 2, (M2 + 1) / 2)`` nodes is solved first, the same way,
     and its solution, interpolated bilinearly, starts the nodes that relax;
-    the held nodes keep the straight line.  A level so started takes Newton
-    steps, and restarts PTC from the same start at the first step that does
-    not lower the residual (:func:`~fastslow.steady.relax_free` with
-    ``dtau0 = inf``), so a failed attempt costs its steps only.  The
-    enzyme model at 61 x 61 then takes 10 + 3 steps (10 PTC steps at
-    31 x 31, then 3 Newton steps at 61 x 61) instead of 10 from the line,
-    and 121 x 121 takes 10 + 3 + 3 instead of 10; with ``tol`` = 1e-8 the
-    result lies within 9.6e-10 and 1.4e-8 of the unsequenced solve.  A
-    coarse level that does not relax within COARSE_STEPS steps is dropped,
-    and the finer grid starts from the line with PTC.  ``hold`` selects
-    which boundary nodes stay pinned at their initial values:
+    the held nodes keep the straight line.  Each solve takes Newton steps,
+    and restarts PTC from the same start at the first step that does not
+    lower the residual (:func:`~fastslow.steady.relax_free`).  The enzyme
+    model at 61 x 61 then takes 1 + 10 + 3 steps (a rejected Newton step
+    and 10 PTC steps at 31 x 31 from the line, then 3 Newton steps at
+    61 x 61) instead of 1 + 10 from the line, and 121 x 121 takes
+    1 + 10 + 3 + 3.  With the profile's closure and ``tol`` = 1e-8 the
+    result lies within 7.6e-10 (61 x 61) and 1.1e-8 (121 x 121) of the
+    solve from the straight line as ``initial_z``, and at 61 x 61 within
+    1.5e-9 for constant chi = 0.1 and 5.8e-9 for chi = 1.  With chi = 0.1
+    at 121 x 121, though, both solves stop below ``tol`` yet lie 0.028
+    apart, most at the theta2 = 1 edge, node (87, 120), and 0.024 at most
+    in the interior.  A coarse level that does not relax is dropped,
+    and the finer grid starts from the line.  ``hold`` selects which
+    boundary nodes stay pinned at their initial values:
 
     - ``"theta1"`` (default): only the theta1-extreme edges, where the
       manifold is anchored; the theta2-extreme edges relax with one-sided
@@ -359,27 +369,10 @@ def evolve_redim_2d(model: ReactionDiffusionModel, theta1_range, theta2_range,
     - ``"none"``: free relaxation of the whole grid, with no boundary
       data.  Only for a model without diffusion, where the slow manifold
       is pointwise attracting; with diffusion it does not converge (the
-      enzyme model at 61 x 61, delta = 0.01, raises ConvergenceError
-      after 200 PTC steps).
+      enzyme model at 61 x 61 with the profile's closure raises
+      ConvergenceError at its first PTC step that raises the residual,
+      which runs 2.5, 1.3, 4.6e4).
     """
-    return _evolve_redim_2d(model, theta1_range, theta2_range, M1, M2, grad, tol,
-                            initial_z, hold, anchor_values, MAX_ITERATIONS)
-
-
-def _prolong(Z, axis):
-    """Linear interpolation of ``Z`` along ``axis`` onto the nested grid of
-    ``2 m - 1`` nodes: the old nodes, and the midpoints between them."""
-    Z = np.moveaxis(Z, axis, 0)
-    out = np.empty((2 * len(Z) - 1,) + Z.shape[1:])
-    out[::2] = Z
-    out[1::2] = 0.5 * (Z[:-1] + Z[1:])
-    return np.moveaxis(out, 0, axis)
-
-
-def _evolve_redim_2d(model, theta1_range, theta2_range, M1, M2, grad, tol, initial_z, hold,
-                     anchor_values, max_steps) -> Manifold2D:
-    """:func:`evolve_redim_2d` in at most ``max_steps`` PTC steps; the coarse
-    levels of its grid sequencing call this name, with COARSE_STEPS."""
     if hold not in ("theta1", "all", "none"):
         raise ContractViolationError(f"unknown hold mode {hold!r}")
     if model.dimension != 3:
@@ -390,68 +383,70 @@ def _evolve_redim_2d(model, theta1_range, theta2_range, M1, M2, grad, tol, initi
         # every hold mode takes one-sided second differences at the edges
         raise ContractViolationError(f"the 2-D REDIM needs at least 4 nodes per axis, "
                                      f"got M1 = {M1}, M2 = {M2}")
-    t1 = np.linspace(theta1_range[0], theta1_range[1], M1)
-    t2 = np.linspace(theta2_range[0], theta2_range[1], M2)
-    TH1, TH2 = np.meshgrid(t1, t2, indexing="ij")
-
     free = (slice(None) if hold == "none" else slice(1, -1),
             slice(1, -1) if hold == "all" else slice(None))
-    dtau0 = DTAU0
+    levels = [(M1, M2)]  # the grids to solve, coarsest first
+    z_lo, z_hi = anchor_values
     if initial_z is not None:
         Zv = np.array(initial_z, dtype=float)
         if Zv.shape != (M1, M2):
             raise ContractViolationError("initial_z shape mismatch")
+    elif z_lo is None or z_hi is None:
+        raise ContractViolationError(
+            "anchor_values (Z at theta1 endpoints) required without initial_z"
+        )
     else:
-        z_lo, z_hi = anchor_values
-        if z_lo is None or z_hi is None:
-            raise ContractViolationError(
-                "anchor_values (Z at theta1 endpoints) required without initial_z"
-            )
-        line = z_lo + (z_hi - z_lo) * (t1 - t1[0]) / (t1[-1] - t1[0])
-        Zv = np.repeat(line[:, None], M2, axis=1)
-        if M1 % 2 and M2 % 2 and min(M1, M2) >= 2 * COARSEST - 1:
-            try:
-                coarse = _evolve_redim_2d(model, theta1_range, theta2_range, (M1 + 1) // 2,
-                                          (M2 + 1) // 2, grad, tol, None, hold, anchor_values,
-                                          COARSE_STEPS)
-            except NumericalError:
-                pass  # the coarse grid need not relax where this one does: keep the line
-            else:
-                Zv[free] = _prolong(_prolong(coarse.Z_values, 0), 1)[free]
-                dtau0 = np.inf  # near the solution: Newton, or PTC if a step fails
+        Zv = None
+        while levels[0][0] % 2 and levels[0][1] % 2 and min(levels[0]) >= 2 * COARSEST - 1:
+            levels.insert(0, ((levels[0][0] + 1) // 2, (levels[0][1] + 1) // 2))
 
     if grad is None:
         grad = constant_gradient((0.0, 0.0), "2d")
-    c1_line = np.asarray(grad.chi1(t1), dtype=float)
-    c2_line = np.asarray(grad.chi2(t1), dtype=float)
-    C1 = np.repeat(c1_line[:, None], M2, axis=1)
-    C2 = np.repeat(c2_line[:, None], M2, axis=1)
-
-    # the rate and its Jacobian take their stencils from the same matrices
-    axes = [(len(t), float(t[1] - t[0])) for t in (t1, t2)]
-    (D1, D2), (E1, E2) = [[sum(np.diag(c[max(-k, 0):m - max(k, 0)], k)
-                               for k, c in difference_matrix(m, d, o).items()) for o in (1, 2)]
-                          for m, d in axes]
-    (A0, A1, A2), (B0, B1, B2) = [[difference_matrix(m, d, o, s) for o in (0, 1, 2)]
-                                  for (m, d), s in zip(axes, free)]
-    assemble = band_assembler(TH1[free].shape, [(A0, B0), (A1, B0), (A0, B1),
-                                                (A2, B0), (A1, B1), (A0, B2)])
     delta = float(model.diffusion[-1])
+    for M1, M2 in levels:
+        t1 = np.linspace(theta1_range[0], theta1_range[1], M1)
+        t2 = np.linspace(theta2_range[0], theta2_range[1], M2)
+        TH1, TH2 = np.meshgrid(t1, t2, indexing="ij")
+        if initial_z is None:
+            line = z_lo + (z_hi - z_lo) * (t1 - t1[0]) / (t1[-1] - t1[0])
+            coarse, Zv = Zv, np.repeat(line[:, None], M2, axis=1)
+            if coarse is not None:
+                Zv[free] = _prolong(_prolong(coarse, 0), 1)[free]
+        c1_line = np.asarray(grad.chi1(t1), dtype=float)
+        c2_line = np.asarray(grad.chi2(t1), dtype=float)
+        C1 = np.repeat(c1_line[:, None], M2, axis=1)
+        C2 = np.repeat(c2_line[:, None], M2, axis=1)
 
-    def rate(Zv):
-        """Graph-form rates of ``Z[free]`` and ``jac()``, their band: the node
-        terms J_ZZ - Z1 J_XZ - Z2 J_YZ, then -Phi_X, -Phi_Y, delta C1^2, 2 delta
-        C1 C2 and delta C2^2 on D1 x I, I x D1, D2 x I, D1 x D1 and I x D2."""
-        z = np.stack([TH1, TH2, Zv], axis=-1)
-        Phi = model.source(z)
-        Z1, Z2 = D1 @ Zv, Zv @ E1.T
-        LZ = delta * (C1 * C1 * (D2 @ Zv) + 2.0 * C1 * C2 * (Z1 @ E1.T) + C2 * C2 * (Zv @ E2.T))
+        # the rate and its Jacobian take their stencils from the same matrices
+        axes = [(len(t), float(t[1] - t[0])) for t in (t1, t2)]
+        (D1, D2), (E1, E2) = [[sum(np.diag(c[max(-k, 0):m - max(k, 0)], k)
+                                   for k, c in difference_matrix(m, d, o).items()) for o in (1, 2)]
+                              for m, d in axes]
+        (A0, A1, A2), (B0, B1, B2) = [[difference_matrix(m, d, o, s) for o in (0, 1, 2)]
+                                      for (m, d), s in zip(axes, free)]
+        assemble = band_assembler(TH1[free].shape, [(A0, B0), (A1, B0), (A0, B1),
+                                                    (A2, B0), (A1, B1), (A0, B2)])
 
-        def jac():
-            J = model.jacobian(z[free])[..., 2]
-            return assemble([J[..., 2] - Z1[free] * J[..., 0] - Z2[free] * J[..., 1],
-                             -Phi[free][..., 0], -Phi[free][..., 1]] + [
-                delta * C[free] for C in (C1 * C1, 2.0 * C1 * C2, C2 * C2)])
-        return ((Phi[..., 2] + LZ) - Z1 * Phi[..., 0] - Z2 * Phi[..., 1])[free], jac
-    Zv, _ = relax_free(rate, Zv, free, tol, max_steps, dtau0)
+        def rate(Zv):
+            """Graph-form rates of ``Z[free]`` and ``jac()``, their band: the node
+            terms J_ZZ - Z1 J_XZ - Z2 J_YZ, then -Phi_X, -Phi_Y, delta C1^2, 2 delta
+            C1 C2 and delta C2^2 on D1 x I, I x D1, D2 x I, D1 x D1 and I x D2."""
+            z = np.stack([TH1, TH2, Zv], axis=-1)
+            Phi = model.source(z)
+            Z1, Z2 = D1 @ Zv, Zv @ E1.T
+            LZ = delta * (C1 * C1 * (D2 @ Zv) + 2.0 * C1 * C2 * (Z1 @ E1.T)
+                          + C2 * C2 * (Zv @ E2.T))
+
+            def jac():
+                J = model.jacobian(z[free])[..., 2]
+                return assemble([J[..., 2] - Z1[free] * J[..., 0] - Z2[free] * J[..., 1],
+                                 -Phi[free][..., 0], -Phi[free][..., 1]] + [
+                    delta * C[free] for C in (C1 * C1, 2.0 * C1 * C2, C2 * C2)])
+            return ((Phi[..., 2] + LZ) - Z1 * Phi[..., 0] - Z2 * Phi[..., 1])[free], jac
+        try:
+            Zv, _ = relax_free(rate, Zv, free, tol)
+        except NumericalError:
+            if (M1, M2) == levels[-1]:
+                raise
+            Zv = None  # the coarse grid need not relax where this one does: keep the line
     return Manifold2D(theta1_grid=t1, theta2_grid=t2, Z_values=Zv, chi1=C1, chi2=C2)

@@ -7,20 +7,21 @@ pseudo-transient continuation (PTC; Kelley & Keyes, SIAM J. Numer. Anal. 35,
 grown by switched evolution relaxation, dtau <- dtau * |F_old| / |F_new|
 (Mulder & van Leer, JCP 59, 1985).  Far from the solution this follows the
 pseudo-time path; as the residual falls the step becomes Newton's.  Its
-Jacobian is exact, assembled from a 1-D matrix along each grid axis.  A
-start in Newton's basin skips the pseudo-time phase: it takes Newton steps,
-and restarts the pseudo-time path from the same start at the first step
-that does not lower the residual, so a failed attempt costs its steps only.
+Jacobian is exact, assembled from a 1-D matrix along each grid axis.  One
+rule decides the path: every step must lower the residual.  A solve takes
+Newton steps from its start, and restarts the pseudo-time path from the
+same start at the first step that does not lower the residual, so a
+failed attempt costs its steps only; on the pseudo-time path such a step
+ends the solve.
 
-- The stationary profile and the REDIM-1D start with Newton from their
-  straight lines: 4 steps at N = 51, 101 and 201 (5 at 1601) where PTC
+- The stationary profile and the REDIM-1D converge in Newton steps from
+  their straight lines: 4 at N = 51, 101 and 201 (5 at 1601) where PTC
   takes 11, and 6 at M = 101 where PTC takes 10.
-- A grid-sequenced REDIM-2D level starts with Newton from its prolonged
-  coarse solution: 3 steps at 61 x 61 where PTC takes 6.
-- The REDIM-2D's coarsest level (31 x 31, from its straight line) keeps
-  PTC: there a Newton step raises the residual within the first two, for
-  the profile's closure (2.42 -> 2.53) and for constant chi = 0.1, 0.3,
-  0.5 and 1, so an attempt would cost steps and save none.
+- A grid-sequenced REDIM-2D level converges in Newton steps from its
+  prolonged coarse solution: 3 at 61 x 61 where PTC takes 6.
+- The REDIM-2D's coarsest level (31 x 31, from its straight line) rejects
+  its first Newton step (2.42 -> 2.53 for the profile's closure) and
+  relaxes by PTC.
 
 The equilibrium and the zero-order slow manifold are small dense problems,
 solved row by row in one batched damped Newton (:func:`damped_newton`).
@@ -95,7 +96,7 @@ def band_assembler(shape, terms):
     return assemble
 
 
-def relax_free(rate, initial, free, tol, max_steps=MAX_ITERATIONS, dtau0=DTAU0):
+def relax_free(rate, initial, free, tol):
     """Steady state of d(A[free])/dtau = rate(A), the rest of A held: relax
     ``initial`` until the sup-norm of the rate falls below ``tol``.
 
@@ -103,61 +104,59 @@ def relax_free(rate, initial, free, tol, max_steps=MAX_ITERATIONS, dtau0=DTAU0):
     rates of ``A[free]`` and ``jac()``, the band of their Jacobian at ``A``
     (:func:`band_assembler`).  Returns the relaxed array, bit-identical to
     ``initial`` outside ``free``, and one ``(pseudo_time, residual)`` pair for
-    the start and each step.  A non-finite residual raises DivergenceError; a
-    singular step or ``max_steps`` steps without convergence raise
-    ConvergenceError carrying the residual.
+    the start and each step.
 
-    ``dtau0 = inf`` takes Newton steps, for a start in Newton's basin: the
-    first step that does not lower the residual (or a singular one, or
-    ``max_steps`` of them) ends the attempt, and the solve restarts from
-    ``initial`` at ``DTAU0``.  The restart is the cold solve, so a failed
-    attempt costs its steps and leaves the result as it was; the history
-    holds the attempt, its last step the rejected one, then the cold
-    solve's history.  From its prolonged 31 x 31 solution the 61 x 61
-    REDIM-2D takes 3 Newton steps (residual 4.4, 2.7e-2, 1.3e-4, 4.4e-9)
-    where PTC from ``DTAU0`` takes 6.  With chi = 0.1 at 121 x 121 the
-    fifth Newton step raises the residual from 0.07 to 8.0, and the
-    restart costs those five steps (5.1 s against 3.0 s in all).
+    Every step must lower the residual.  The solve takes Newton steps
+    (pseudo-time ``inf``) from ``initial``; at the first one that does not
+    lower the residual, a singular one or ``MAX_ITERATIONS`` of them, it
+    restarts PTC from ``initial`` at ``DTAU0``, so a failed attempt costs
+    its steps only (with chi = 0.1 the 121 x 121 REDIM-2D's fifth Newton
+    step raises the residual from 0.07 to 8.0: 5.1 s against 3.0 s in all).
+    The history then holds the attempt, its last step the rejected one,
+    and the PTC solve's history after it.  On the PTC path a step that
+    does not lower the residual, a singular step or ``MAX_ITERATIONS``
+    steps raise ConvergenceError carrying the residual; a non-finite
+    residual raises DivergenceError.
     """
-    newton = dtau0 == np.inf
-    A = np.array(initial, dtype=float)
-    shape = A[free].shape
-    R, jac = rate(A)
-    residual = float(np.abs(R).max())
-    tau, dtau = 0.0, dtau0
-    history = [(tau, residual)]
-    while True:
+    history = []
+    for dtau_start in (np.inf, DTAU0):  # Newton steps, then PTC from the same start
+        A = np.array(initial, dtype=float)
+        R, jac = rate(A)
+        tau, dtau, residual = 0.0, dtau_start, float(np.abs(R).max())
+        history.append((tau, residual))
         if not np.isfinite(residual):
             raise DivergenceError(f"non-finite residual at pseudo-time {tau:g}")
-        if residual < tol:
-            return A, history
-        if len(history) > max_steps:
-            if newton:
+        r0 = residual
+        for step in range(MAX_ITERATIONS + 1):
+            if residual < tol:
+                return A, history
+            if step == MAX_ITERATIONS:
+                failure = ConvergenceError(f"not stationary after {step} steps",
+                                           residual=residual)
                 break
-            raise ConvergenceError(f"not stationary after {max_steps} steps",
-                                   residual=residual)
-        bw, ab = jac()
-        ab *= -1.0
-        ab[2 * bw] += 1.0 / dtau
-        _, _, d, info = sla.lapack.sgbsv(bw, bw, ab, R.ravel().astype(np.float32),
-                                         overwrite_ab=True)
-        if info > 0:
-            if newton:
+            bw, ab = jac()
+            ab *= -1.0
+            ab[2 * bw] += 1.0 / dtau
+            _, _, d, info = sla.lapack.sgbsv(bw, bw, ab, R.ravel().astype(np.float32),
+                                             overwrite_ab=True)
+            if info > 0:
+                failure = ConvergenceError(f"singular step matrix at pseudo-time {tau:g}",
+                                           residual=residual)
                 break
-            raise ConvergenceError(f"singular step matrix at pseudo-time {tau:g}",
-                                   residual=residual)
-        A[free] += d.reshape(shape)
-        R, jac = rate(A)
-        tau += dtau
-        previous, residual = residual, float(np.abs(R).max())
-        history.append((tau, residual))
-        if newton and not residual < previous:
-            break
-        # dtau * |F_old| / |F_new| at every step telescopes to this
-        dtau = dtau0 * history[0][1] / residual if residual > 0.0 else np.inf
-    # the Newton attempt failed: the cold solve from the same start
-    A, cold = relax_free(rate, initial, free, tol, max_steps)
-    return A, history + cold
+            A[free] += d.reshape(A[free].shape)
+            R, jac = rate(A)
+            tau += dtau
+            previous, residual = residual, float(np.abs(R).max())
+            history.append((tau, residual))
+            if not residual < previous:  # also a non-finite residual
+                failure = ConvergenceError(f"not stationary: step {step + 1} raised the "
+                                           f"residual to {residual:.3g}", residual=residual)
+                break
+            # dtau * |F_old| / |F_new| at every step telescopes to this
+            dtau = dtau_start * r0 / residual if residual > 0.0 else np.inf
+    if not np.isfinite(failure.residual):
+        raise DivergenceError(f"non-finite residual at pseudo-time {tau:g}")
+    raise failure
 
 
 def _solve_rows(A, b):

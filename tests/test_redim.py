@@ -1,13 +1,16 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fastslow.cli import main
 from fastslow.core import Grid1D, SpatialProfile
 from fastslow.errors import (
     BoundaryNodeError,
     ContractViolationError,
+    ConvergenceError,
     DegenerateParametrizationError,
     ParametrizationError,
 )
@@ -343,12 +346,12 @@ def _straight_line(mm_bc, M):
 
 def test_sequenced_redim2d_matches_the_unsequenced_solve(mm_model, mm_bc, mm_grad2, redim2d_mm):
     """The 61 x 61 REDIM-2D starts from its 31 x 31 solution, with Newton
-    steps; given the straight line as ``initial_z`` it relaxes from there
-    with PTC instead.  Each stops with a residual below ``tol`` (4.4e-9 and
-    1.5e-10).  The node term of the Z rate's Jacobian,
+    steps; given the straight line as ``initial_z`` it rejects its first
+    Newton step and relaxes from there with PTC instead.  Each stops with
+    a residual below ``tol`` (4.4e-9 and 1.5e-10).  The node term of the Z rate's Jacobian,
     J_ZZ - Z_X J_XZ - Z_Y J_YZ, lies in [-18.6, -0.22] over the solution, so
     each stop lies within about ``tol / 0.22`` of the fixed point and the two
-    within ``2 tol / 0.22`` = 9.1e-8 (measured 9.6e-10).  The held theta1
+    within ``2 tol / 0.22`` = 9.1e-8 (measured 7.6e-10).  The held theta1
     edges keep the line, bit for bit."""
     tol, line = 1e-8, _straight_line(mm_bc, 61)
     cold = evolve_redim_2d(mm_model, (0.0, 2.0), (0.0, 1.0), M1=61, M2=61, grad=mm_grad2,
@@ -363,19 +366,20 @@ def test_redim2d_whose_newton_start_fails_relaxes_from_the_prolonged_start(
         monkeypatch, mm_model, mm_bc, mm_grad2):
     """The 61 x 61 level's first Newton step is made to return a NaN residual:
     the level restarts PTC from its prolonged 31 x 31 start, bit for bit as
-    if that start were ``initial_z``, and its history logs the failed step."""
+    PTC from that start given as ``initial_z`` (its first Newton step made
+    to fail the same way), and its history logs the failed step."""
     from fastslow import redim, steady
     starts, histories = [], []
 
-    def newton_fails(rate, initial, free, tol, max_steps, dtau0):
-        if dtau0 == np.inf:
+    def newton_fails(rate, initial, free, tol):
+        if initial.shape == (61, 61):
             starts.append(initial)
             calls, plain = itertools.count(), rate
 
             def rate(A):  # NaN after the first step, and only there
                 R, jac = plain(A)
                 return (R + np.nan if next(calls) == 1 else R), jac
-        A, history = steady.relax_free(rate, initial, free, tol, max_steps, dtau0)
+        A, history = steady.relax_free(rate, initial, free, tol)
         histories.append(history)
         return A, history
 
@@ -384,18 +388,20 @@ def test_redim2d_whose_newton_start_fails_relaxes_from_the_prolonged_start(
     with monkeypatch.context() as m:
         m.setattr(redim, "relax_free", newton_fails)
         sequenced = evolve_redim_2d(mm_model, **setup, anchor_values=anchors)
-    assert len(starts) == 1 and len(histories) == 2
+        cold = evolve_redim_2d(mm_model, **setup, initial_z=starts[0])
+    assert len(starts) == 2 and len(histories) == 3
     assert histories[1][1][0] == np.inf and np.isnan(histories[1][1][1])
-    cold = evolve_redim_2d(mm_model, **setup, initial_z=starts[0])
+    assert histories[1][2] == histories[1][0] and histories[1][2:] == histories[2][2:]
+    assert all(tau < np.inf for tau, _ in histories[1][2:])
     assert np.array_equal(sequenced.Z_values, cold.Z_values)
 
 
 def test_redim2d_whose_coarse_level_fails_starts_from_the_line(mm_model, mm_bc):
-    """With chi = 0.3 the 31 x 31 REDIM-2D does not relax (its residual grows
-    past 1e4), though the 61 x 61 one does: the coarse level gives up after
-    COARSE_STEPS and the fine one relaxes from the straight line, bit for
-    bit as if ``initial_z`` were that line (a coarse start would move the
-    result by about 1e-9)."""
+    """With chi = 0.3 the 31 x 31 REDIM-2D does not relax (its PTC residual
+    rises at the eighth step), though the 61 x 61 one does: the coarse
+    level is dropped and the fine one relaxes from the straight line, bit
+    for bit as if ``initial_z`` were that line (a coarse start would move
+    the result by about 1e-9)."""
     anchors = (float(mm_bc.left_state[2]), float(mm_bc.right_state[2]))
     setup = dict(theta1_range=(0.0, 2.0), theta2_range=(0.0, 1.0),
                  grad=constant_gradient((0.3, 0.3), "2d"))
@@ -404,13 +410,81 @@ def test_redim2d_whose_coarse_level_fails_starts_from_the_line(mm_model, mm_bc):
     assert np.array_equal(sequenced.Z_values, cold.Z_values)
 
 
+def _residuals(monkeypatch):
+    """One list per ``relax_free`` call made through :mod:`fastslow.redim`:
+    the residual of each ``rate`` evaluation, i.e. its history, kept also
+    when the solve raises."""
+    from fastslow import redim, steady
+    calls = []
+
+    def recording(rate, initial, free, tol):
+        calls.append([])
+
+        def logged(A):
+            R, jac = rate(A)
+            calls[-1].append(float(np.abs(R).max()))
+            return R, jac
+        return steady.relax_free(logged, initial, free, tol)
+
+    monkeypatch.setattr(redim, "relax_free", recording)
+    return calls
+
+
+def _ends_at_the_first_rising_ptc_step(residuals, error):
+    """A Newton attempt, then PTC from the same start that lowers the
+    residual at every step but its last, which raises it: the error carries
+    that residual.  Returns the PTC residuals."""
+    ptc = residuals[residuals.index(residuals[0], 1):]
+    assert all(b < a for a, b in zip(ptc[:-2], ptc[1:-1])), ptc
+    assert ptc[-1] > ptc[-2] and error.residual == ptc[-1], ptc
+    return ptc
+
+
+def test_redim2d_hold_none_with_diffusion_ends_at_its_first_rising_step(
+        monkeypatch, mm_model, mm_bc, mm_grad2):
+    """``hold="none"`` gives no boundary data, and with the enzyme model's
+    diffusion the REDIM-2D does not relax: each level ends at its first PTC
+    step that raises the residual.  At 61 x 61, from the line once the
+    31 x 31 level fails, the rejected Newton step is followed by 2.5, 1.3,
+    4.6e4: at most 3 steps, where 200 PTC steps were taken before."""
+    calls = _residuals(monkeypatch)
+    with pytest.raises(ConvergenceError, match="not stationary") as exc:
+        evolve_redim_2d(mm_model, (0.0, 2.0), (0.0, 1.0), M1=61, M2=61, grad=mm_grad2,
+                        anchor_values=(float(mm_bc.left_state[2]), float(mm_bc.right_state[2])),
+                        hold="none")
+    assert len(calls) == 2
+    _ends_at_the_first_rising_ptc_step(calls[1], exc.value)
+    assert len(calls[1]) - 2 <= 3, calls[1]  # the two starts are not steps
+
+
+@pytest.mark.parametrize("chi", [0.3, 0.5])
+def test_redim2d_31_with_weak_constant_closure_ends_at_its_first_rising_step(
+        monkeypatch, tmp_path, capsys, mm_model, mm_bc, chi):
+    """With constant chi = 0.3 or 0.5 the 31 x 31 REDIM-2D does not relax
+    (at 61 x 61 it does): it ends at its first PTC step that raises the
+    residual, where 200 PTC steps were taken before, and ``fastslow redim``
+    on it exits 3."""
+    calls = _residuals(monkeypatch)
+    with pytest.raises(ConvergenceError, match="not stationary") as exc:
+        evolve_redim_2d(mm_model, (0.0, 2.0), (0.0, 1.0), M1=31, M2=31,
+                        grad=constant_gradient(chi, "2d"),
+                        anchor_values=(float(mm_bc.left_state[2]), float(mm_bc.right_state[2])))
+    assert len(calls) == 1
+    _ends_at_the_first_rising_ptc_step(calls[0], exc.value)
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"redim2d_points": [31, 31]}))
+    assert main(["redim", "--dim", "2", "--grad", f"const:{chi}", "--config", str(config),
+                 "--out", str(tmp_path / "redim2d.csv")]) == 3
+    assert "not stationary" in capsys.readouterr().err
+
+
 def test_redim1d_rejects_degenerate_anchors(mm_model):
     with pytest.raises(ContractViolationError):
         evolve_redim_1d(mm_model, (Z_EQ, Z_EQ), M=11)
 
 
 def test_redim1d_non_convergence_carries_residual(mm_model):
-    from fastslow.errors import ConvergenceError
     with pytest.raises(ConvergenceError) as exc:
         evolve_redim_1d(mm_model, (Z_EQ, Z_RIGHT), M=11, tol=1e-300)
     assert exc.value.residual is not None and exc.value.residual > 0.0

@@ -1,6 +1,7 @@
 """The shared steady-state solver: fixed points, failures and grid scaling."""
 
 import dataclasses
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,18 @@ def test_exact_band_matches_column_by_column_differences(monkeypatch, case):
     assert np.abs(band - dense).max() <= 1e-6 * np.abs(dense).max()
 
 
+def _ptc(rate):
+    """``rate`` with a NaN residual after the first step, and only there: the
+    solve rejects its first Newton step and restarts PTC on ``rate`` itself,
+    so its history from the third entry on is the PTC solve's."""
+    calls = itertools.count()
+
+    def poisoned(A):
+        R, jac = rate(A)
+        return (R + np.nan if next(calls) == 1 else R), jac
+    return poisoned
+
+
 def _recorded(monkeypatch, module):
     """Histories of every ``relax_free`` call made through ``module``."""
     histories = []
@@ -160,21 +173,25 @@ def test_profile_iteration_count_is_pinned(mm_model, mm_bc, N):
 def test_redim_iteration_counts_are_pinned(monkeypatch, mm_model, mm_bc, mm_grad1, mm_grad2):
     """The configurations of the conftest fixtures.  The REDIM-1D at M = 101
     takes at most 6 Newton steps from its straight line (10 PTC steps from
-    ``DTAU0``).  The 61 x 61 REDIM-2D is grid-sequenced: at most 10 PTC
-    steps at 31 x 31 from the line (as many as the forward-difference
-    Jacobian took), then at most 3 Newton steps at 61 x 61 from the
-    interpolated coarse solution (6 PTC steps from ``DTAU0``).  No Newton
-    step is rejected, and the profile keeps its histories bit for bit."""
+    ``DTAU0``).  The 61 x 61 REDIM-2D is grid-sequenced: at 31 x 31 the
+    first Newton step from the line raises the residual, and PTC from the
+    line takes at most 10 steps (as many as the forward-difference Jacobian
+    took); then at most 3 Newton steps at 61 x 61 from the interpolated
+    coarse solution (6 PTC steps from ``DTAU0``).  No other Newton step is
+    rejected, and the profile keeps its histories bit for bit."""
     histories = _recorded(monkeypatch, redim)
     evolve_redim_1d(mm_model, (mm_bc.left_state, mm_bc.right_state), M=101, grad=mm_grad1)
     evolve_redim_2d(mm_model, (0.0, 2.0), (0.0, 1.0), M1=61, M2=61, grad=mm_grad2,
                     anchor_values=(float(mm_bc.left_state[2]), float(mm_bc.right_state[2])))
     steps = [len(h) - 1 for h in histories]
     assert len(steps) == 3, steps
-    assert steps[0] <= 6 and steps[1] <= 10 and steps[2] <= 3, steps
+    assert steps[0] <= 6 and steps[2] <= 3, steps
     assert all(h[-1][1] < 1e-8 for h in histories)
     for newton in (histories[0], histories[2]):  # no step was rejected
         assert all(tau == np.inf for tau, _ in newton[1:])
+    coarse = histories[1]  # one rejected Newton step, then PTC from the line
+    assert coarse[1][0] == np.inf and coarse[1][1] > coarse[0][1] and coarse[2] == coarse[0]
+    assert all(tau < np.inf for tau, _ in coarse[3:]) and len(coarse) - 3 <= 10, steps
     for n in (51, 101, 201):
         got = integrate_to_steady(mm_model, mm_bc, SolverSettings(node_count=n))
         assert np.array_equal(np.array(got.residual_history), GOLDEN_HISTORIES[f"n{n}"])
@@ -185,7 +202,8 @@ def test_redim_iteration_counts_are_pinned(monkeypatch, mm_model, mm_bc, mm_grad
 def test_newton_profile_agrees_with_the_ptc_solve(mm_eq, corner, log_delta):
     """A right boundary state anywhere in the working box and delta from
     1e-3 to 1, at N = 51: the profile as shipped, Newton from the linear
-    start, takes no more steps than PTC from ``DTAU0`` on the same start.
+    start, takes no more steps than PTC from ``DTAU0`` on the same start
+    (its first Newton step poisoned, :func:`_ptc`).
     Both stop with a residual below ``tol``, so, linearised at the PTC
     solution, they differ by at most ``|J^-1|_inf (r + r') <= 2 tol
     |J^-1|_inf``.  In 120 seeded draws the difference reached at most 0.24
@@ -197,15 +215,16 @@ def test_newton_profile_agrees_with_the_ptc_solve(mm_eq, corner, log_delta):
     grid = SolverSettings(node_count=51)
     rates = []
 
-    def ptc(rate, initial, free, tol, **kwargs):
+    def ptc(rate, initial, free, tol):
         rates.append(rate)
-        return relax_free(rate, initial, free, tol, dtau0=DTAU0)
+        return relax_free(_ptc(rate), initial, free, tol)
 
     shipped = integrate_to_steady(model, bc, grid)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(pde, "relax_free", ptc)
         cold = integrate_to_steady(model, bc, grid)
-    assert shipped.steps <= cold.steps
+    assert all(tau < np.inf for tau, _ in cold.residual_history[2:])
+    assert shipped.steps <= len(cold.residual_history) - 3
     J = _dense(*rates[0](cold.profile.states)[1]())
     bound = 2.0 * grid.steady_tol * np.abs(np.linalg.inv(J)).sum(axis=1).max()
     assert np.abs(shipped.profile.states - cold.profile.states).max() <= bound
@@ -220,22 +239,23 @@ def _arctan_rate(A):
 
 
 def test_failed_newton_attempt_restarts_the_cold_solve():
-    """From a start where the Newton step raises the residual, ``dtau0 = inf``
-    logs that step and returns the cold solve's array and history after it;
-    from a start in Newton's basin, it converges in Newton steps alone, in
-    fewer of them than the cold solve."""
+    """From a start where the Newton step raises the residual, the solve logs
+    that step and returns the array and history of PTC from the same start
+    (the cold solve, :func:`_ptc`) after it; from a start in Newton's basin,
+    it converges in Newton steps alone, in fewer of them than PTC."""
     far, near = np.array([2.0, 0.5, -1.0]), np.array([0.5, -0.3, 1.0])
-    cold_A, cold = relax_free(_arctan_rate, far, np.s_[:], 1e-10)
-    A, history = relax_free(_arctan_rate, far, np.s_[:], 1e-10, dtau0=np.inf)
+    cold_A, cold = relax_free(_ptc(_arctan_rate), far, np.s_[:], 1e-10)
+    A, history = relax_free(_arctan_rate, far, np.s_[:], 1e-10)
     assert np.array_equal(A, cold_A)
-    assert history[0] == cold[0] and history[2:] == cold
+    assert history[0] == cold[0] and history[2:] == cold[2:]
     assert history[1][0] == np.inf and history[1][1] > history[0][1]
+    assert all(tau < np.inf for tau, _ in cold[2:])
 
-    A, history = relax_free(_arctan_rate, near, np.s_[:], 1e-10, dtau0=np.inf)
+    A, history = relax_free(_arctan_rate, near, np.s_[:], 1e-10)
     assert all(tau == np.inf for tau, _ in history[1:])
     assert all(b < a for (_, a), (_, b) in zip(history, history[1:]))
     assert history[-1][1] < 1e-10
-    assert len(history) < len(relax_free(_arctan_rate, near, np.s_[:], 1e-10)[1])
+    assert len(history) < len(relax_free(_ptc(_arctan_rate), near, np.s_[:], 1e-10)[1]) - 2
 
 
 def _isin_difference_matrix(m, d, order, s):
@@ -264,19 +284,40 @@ def test_difference_matrix_range_test_matches_membership(m, order, s):
 
 
 def test_singular_step_matrix_carries_residual():
-    # J = I / dtau makes the first step matrix I / dtau - J exactly zero
+    """``1 + A^2`` with J = I / DTAU0: the Newton step (to -0.1) raises the
+    residual to 1.01, and the first PTC step matrix, I / DTAU0 - J, is
+    exactly zero; a singular Newton step would restart PTC instead."""
     def jac():
         return 0, np.full((1, 2), 1.0 / DTAU0, dtype=np.float32, order="F")
 
-    with pytest.raises(ConvergenceError) as exc:
-        relax_free(lambda A: (A + 1.0, jac), np.zeros(2), np.s_[:], 1e-8)
+    with pytest.raises(ConvergenceError, match="singular step matrix") as exc:
+        relax_free(lambda A: (1.0 + A * A, jac), np.zeros(2), np.s_[:], 1e-8)
     assert exc.value.residual == 1.0
+
+
+def test_non_finite_ptc_step_raises_divergence():
+    """A Newton step to a NaN residual restarts PTC; a PTC step to one raises
+    DivergenceError, not the ConvergenceError of a step that only rises."""
+    def jac():
+        return 0, np.ones((1, 1), dtype=np.float32, order="F")
+
+    seen = []
+
+    def rate(A):  # 1 at the start, NaN anywhere else
+        seen.append(float(A[0]))
+        return np.where(A == 0.0, 1.0, np.nan), jac
+
+    with pytest.raises(DivergenceError):
+        relax_free(rate, np.zeros(1), np.s_[:], 1e-8)
+    assert seen == [0.0, -1.0, 0.0, pytest.approx(1.0 / 9.0)]  # Newton, then PTC
 
 
 def test_relax_free_holds_the_rest_and_logs_each_step():
     """A 6 x 5 array with its border held: the interior relaxes under
     ``Lap_0 A - A - A^3 / 2 + 1``, coupled to the held rows by the second
-    difference along the first axis."""
+    difference along the first axis.  It converges in Newton steps alone;
+    PTC (:func:`_ptc`) logs rising pseudo-times.  Both lower the residual
+    at every step."""
     initial = np.random.default_rng(3).uniform(-1.0, 1.0, (6, 5))
     free, tol = np.s_[1:-1, 1:-1], 1e-10
     assemble = band_assembler(initial[free].shape, [
@@ -288,16 +329,21 @@ def test_relax_free_holds_the_rest_and_logs_each_step():
         return R, lambda: assemble([1.0, -1.0 - 1.5 * Af ** 2])
 
     start = initial.copy()
-    A, history = relax_free(rate, initial, free, tol)
     held = np.ones(initial.shape, dtype=bool)
     held[free] = False
+    A_newton, newton = relax_free(rate, initial, free, tol)
+    A_ptc, ptc = relax_free(_ptc(rate), initial, free, tol)
     assert np.array_equal(initial, start)
-    assert np.array_equal(A[held], initial[held])
-    assert history[0] == (0.0, float(np.abs(rate(initial)[0]).max()))
-    taus = [tau for tau, _ in history]
-    assert len(history) > 2 and all(a < b for a, b in zip(taus, taus[1:]))
-    assert history[-1][1] < tol
-    assert history[-1][1] == float(np.abs(rate(A)[0]).max())
+    for A, history in ((A_newton, newton), (A_ptc, ptc[2:])):
+        assert np.array_equal(A[held], initial[held])
+        assert history[0] == (0.0, float(np.abs(rate(initial)[0]).max()))
+        residuals = [r for _, r in history]
+        assert len(history) > 2 and all(b < a for a, b in zip(residuals, residuals[1:]))
+        assert history[-1][1] < tol
+        assert history[-1][1] == float(np.abs(rate(A)[0]).max())
+    assert all(tau == np.inf for tau, _ in newton[1:])  # Newton steps alone
+    taus = [tau for tau, _ in ptc[2:]]
+    assert all(a < b for a, b in zip(taus, taus[1:]))
 
 
 def test_damped_newton_rows_are_independent_equilibrium_solves():
