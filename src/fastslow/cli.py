@@ -92,8 +92,8 @@ class RunConfig:
         for value in points:  # the one-sided edge differences reach 3 nodes in
             _check_int("redim2d_points", value, 4)
         for key in ("steady_tol", "mesh_tol", "redim_tol"):
-            _check_number(key, getattr(self, key), lambda v: 0.0 <= v < math.inf,
-                          "a finite number >= 0")
+            _check_number(key, getattr(self, key), lambda v: 0.0 < v < math.inf,
+                          "a finite number > 0")
         _check_number("min_gap_ratio", self.min_gap_ratio, lambda v: 1.0 < v < math.inf,
                       "a finite number > 1")
         last = self.nodes - 1

@@ -52,9 +52,9 @@ class SolverSettings:
     def __post_init__(self):
         if self.node_count < 3:
             raise ContractViolationError("node_count must be >= 3")
-        if not 0.0 <= self.steady_tol < np.inf:
+        if not 0.0 < self.steady_tol < np.inf:
             raise ContractViolationError(
-                f"steady_tol must be finite and >= 0, got {self.steady_tol!r}")
+                f"steady_tol must be finite and positive, got {self.steady_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,12 @@ class SteadyResult:
     """A stationary profile and how the solver reached it.
 
     ``residual_history`` holds one ``(pseudo_time, residual)`` pair for the
-    start and each step, and ``steps`` is its length less one.  A Newton
-    step logs pseudo-time ``inf``.  If a Newton step does not lower the
-    residual, the history holds the attempt, that step last, then the
-    history of the pseudo-transient continuation solve from the same start
-    (:func:`~fastslow.steady.relax_free`).
+    start and each step; ``steps`` counts the pairs with non-zero
+    pseudo-time, i.e. the steps.  A Newton step logs pseudo-time ``inf``.
+    If a Newton step ends at or above the start's residual, the history
+    holds the attempt, that step last, then the history of the
+    pseudo-transient continuation solve from the same start, which logs
+    that start again at pseudo-time 0 (:func:`~fastslow.steady.relax_free`).
     """
 
     profile: SpatialProfile
@@ -90,9 +91,9 @@ def integrate_to_steady(model: ReactionDiffusionModel, bc: BoundaryConditions,
     """Relax the linear initial profile to stationarity.
 
     Newton steps from the linear start, with pseudo-transient continuation
-    from the same start at the first step that does not lower the residual
-    (:func:`~fastslow.steady.relax_free`).  Convergence is judged by the
-    sup-norm of the full interior RHS, which must fall below
+    from the same start at the first step that ends at or above the start's
+    residual (:func:`~fastslow.steady.relax_free`).  Convergence is judged
+    by the sup-norm of the full interior RHS, which must fall below
     ``settings.steady_tol``.
     """
     settings = settings or SolverSettings()
@@ -110,5 +111,5 @@ def integrate_to_steady(model: ReactionDiffusionModel, bc: BoundaryConditions,
     return SteadyResult(
         profile=SpatialProfile(grid, states),
         residual_history=tuple(history),
-        steps=len(history) - 1,
+        steps=sum(tau != 0.0 for tau, _ in history),
     )

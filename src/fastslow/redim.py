@@ -294,7 +294,7 @@ def evolve_redim_1d(model: ReactionDiffusionModel, anchors, M: int = 101,
     ``anchors`` are (left_state, right_state); their first components set the
     theta range and both endpoints stay Dirichlet-pinned throughout.  The
     solve takes Newton steps from the line, and restarts PTC from it at the
-    first step that does not lower the residual
+    first step that ends at or above the line's residual
     (:func:`~fastslow.steady.relax_free`).
     """
     left = as_state(anchors[0], model.dimension)
@@ -345,10 +345,10 @@ def evolve_redim_2d(model: ReactionDiffusionModel, theta1_range, theta2_range,
     ``((M1 + 1) / 2, (M2 + 1) / 2)`` nodes is solved first, the same way,
     and its solution, interpolated bilinearly, starts the nodes that relax;
     the held nodes keep the straight line.  Each solve takes Newton steps,
-    and restarts PTC from the same start at the first step that does not
-    lower the residual (:func:`~fastslow.steady.relax_free`).  The enzyme
-    model at 61 x 61 then takes 1 + 10 + 3 steps (a rejected Newton step
-    and 10 PTC steps at 31 x 31 from the line, then 3 Newton steps at
+    and restarts PTC from the same start at the first step that ends at or
+    above the start's residual (:func:`~fastslow.steady.relax_free`).  The
+    enzyme model at 61 x 61 then takes 1 + 10 + 3 steps (a rejected Newton
+    step and 10 PTC steps at 31 x 31 from the line, then 3 Newton steps at
     61 x 61) instead of 1 + 10 from the line, and 121 x 121 takes
     1 + 10 + 3 + 3.  With the profile's closure and ``tol`` = 1e-8 the
     result lies within 7.6e-10 (61 x 61) and 1.1e-8 (121 x 121) of the
@@ -370,8 +370,8 @@ def evolve_redim_2d(model: ReactionDiffusionModel, theta1_range, theta2_range,
       data.  Only for a model without diffusion, where the slow manifold
       is pointwise attracting; with diffusion it does not converge (the
       enzyme model at 61 x 61 with the profile's closure raises
-      ConvergenceError at its first PTC step that raises the residual,
-      which runs 2.5, 1.3, 4.6e4).
+      ConvergenceError at its first PTC step that ends at or above the
+      start's residual: 2.5 at the start, then 1.3 and 4.6e4).
     """
     if hold not in ("theta1", "all", "none"):
         raise ContractViolationError(f"unknown hold mode {hold!r}")

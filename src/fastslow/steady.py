@@ -8,11 +8,13 @@ grown by switched evolution relaxation, dtau <- dtau * |F_old| / |F_new|
 (Mulder & van Leer, JCP 59, 1985).  Far from the solution this follows the
 pseudo-time path; as the residual falls the step becomes Newton's.  Its
 Jacobian is exact, assembled from a 1-D matrix along each grid axis.  One
-rule decides the path: every step must lower the residual.  A solve takes
-Newton steps from its start, and restarts the pseudo-time path from the
-same start at the first step that does not lower the residual, so a
-failed attempt costs its steps only; on the pseudo-time path such a step
-ends the solve.
+rule decides the path: no step may end at or above the residual of the
+start it came from.  A solve takes Newton steps from its start, and
+restarts the pseudo-time path from the same start at the first step that
+does, so a failed attempt costs its steps only; on the pseudo-time path
+such a step ends the solve.  Below that bound the residual may rise and
+fall again, as a PTC residual may before its Newton phase; switched
+evolution relaxation then shortens the step, but never below the first.
 
 - The stationary profile and the REDIM-1D converge in Newton steps from
   their straight lines: 4 at N = 51, 101 and 201 (5 at 1601) where PTC
@@ -20,8 +22,8 @@ ends the solve.
 - A grid-sequenced REDIM-2D level converges in Newton steps from its
   prolonged coarse solution: 3 at 61 x 61 where PTC takes 6.
 - The REDIM-2D's coarsest level (31 x 31, from its straight line) rejects
-  its first Newton step (2.42 -> 2.53 for the profile's closure) and
-  relaxes by PTC.
+  its first Newton step (2.42 -> 2.53 for the profile's closure, above the
+  start) and relaxes by PTC.
 
 The equilibrium and the zero-order slow manifold are small dense problems,
 solved row by row in one batched damped Newton (:func:`damped_newton`).
@@ -106,17 +108,19 @@ def relax_free(rate, initial, free, tol):
     ``initial`` outside ``free``, and one ``(pseudo_time, residual)`` pair for
     the start and each step.
 
-    Every step must lower the residual.  The solve takes Newton steps
-    (pseudo-time ``inf``) from ``initial``; at the first one that does not
-    lower the residual, a singular one or ``MAX_ITERATIONS`` of them, it
+    No step may end at or above ``r0``, the residual of ``initial``.  The
+    solve takes Newton steps (pseudo-time ``inf``) from ``initial``; at the
+    first one that does, a singular one or ``MAX_ITERATIONS`` of them, it
     restarts PTC from ``initial`` at ``DTAU0``, so a failed attempt costs
-    its steps only (with chi = 0.1 the 121 x 121 REDIM-2D's fifth Newton
-    step raises the residual from 0.07 to 8.0: 5.1 s against 3.0 s in all).
-    The history then holds the attempt, its last step the rejected one,
-    and the PTC solve's history after it.  On the PTC path a step that
-    does not lower the residual, a singular step or ``MAX_ITERATIONS``
-    steps raise ConvergenceError carrying the residual; a non-finite
-    residual raises DivergenceError.
+    its steps only (with chi = 0.1 the 121 x 121 REDIM-2D's attempt ends at
+    its sixth step, where the residual goes from 8.01 to 56 against a
+    start of 8.41).  The history then holds the attempt, its last step the
+    rejected one, and the PTC solve's history after it, from the same
+    start.  Below ``r0`` a residual may rise: the PTC step then shrinks
+    by switched evolution relaxation, never below ``DTAU0``.  On the PTC
+    path a step that ends at or above ``r0``, a singular step or
+    ``MAX_ITERATIONS`` steps raise ConvergenceError carrying the residual;
+    a non-finite residual raises DivergenceError.
     """
     history = []
     for dtau_start in (np.inf, DTAU0):  # Newton steps, then PTC from the same start
@@ -146,11 +150,12 @@ def relax_free(rate, initial, free, tol):
             A[free] += d.reshape(A[free].shape)
             R, jac = rate(A)
             tau += dtau
-            previous, residual = residual, float(np.abs(R).max())
+            residual = float(np.abs(R).max())
             history.append((tau, residual))
-            if not residual < previous:  # also a non-finite residual
-                failure = ConvergenceError(f"not stationary: step {step + 1} raised the "
-                                           f"residual to {residual:.3g}", residual=residual)
+            if not residual < r0:  # also a non-finite residual
+                failure = ConvergenceError(f"not stationary: step {step + 1} ended at "
+                                           f"{residual:.3g}, not below its start's "
+                                           f"{r0:.3g}", residual=residual)
                 break
             # dtau * |F_old| / |F_new| at every step telescopes to this
             dtau = dtau_start * r0 / residual if residual > 0.0 else np.inf

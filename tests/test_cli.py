@@ -109,6 +109,9 @@ def test_load_config_rejects_bad_json(tmp_path):
     ({"fasttime_x0": 1.5}, "fasttime_x0"),
     ({"fasttime_x0": 0.001}, "fasttime_x0"),
     ({"min_gap_ratio": 0.5}, "min_gap_ratio"),
+    ({"steady_tol": 0.0}, "steady_tol"),
+    ({"mesh_tol": 0.0}, "mesh_tol"),
+    ({"redim_tol": 0}, "redim_tol"),
     ({"model": "nope"}, "model"),
     ({"model_params": {"L1": "a"}}, "model_params"),
     ({"gql_mode": "nope"}, "gql_mode"),
@@ -126,7 +129,8 @@ def test_load_config_rejects_bad_json(tmp_path):
         "redim2d-3-theta2-nodes", "mesh-points-string", "mesh-points-zero",
         "dt-safety-above-1", "fasttime-start-length", "fasttime-start-not-a-list",
         "redim2d-not-a-list", "fasttime-x0-outside",
-        "fasttime-x0-boundary-node", "min-gap-ratio-below-1", "model-unknown",
+        "fasttime-x0-boundary-node", "min-gap-ratio-below-1", "steady-tol-zero",
+        "mesh-tol-zero", "redim-tol-zero", "model-unknown",
         "model-params-string", "gql-mode-unknown", "redim-grad-unknown",
         "redim-grad-const-nan", "redim-grad-const-inf", "delta-infinite", "L1-nan",
         "linear-diffusion-nan", "linear-z-star-infinite"])
@@ -178,6 +182,7 @@ def _no_stage(*args, **kwargs):
     (["model", "--model", "nope"], "model"),
     (["pde-solve", "--nodes", "2", "--out", "p.csv"], "nodes"),
     (["pde-solve", "--tol", "nan", "--out", "p.csv"], "steady_tol"),
+    (["pde-solve", "--tol", "0", "--out", "p.csv"], "steady_tol"),
     (["redim", "--dim", "1", "--grad", "missing.csv", "--out", "r.csv"], "redim_grad"),
     (["redim", "--dim", "1", "--grad", "bad.csv", "--out", "r.csv"], "redim_grad"),
     (["redim", "--dim", "2", "--grad", "one.csv", "--out", "r.csv"], "redim_grad"),
@@ -187,9 +192,9 @@ def _no_stage(*args, **kwargs):
     (["fast-time", "--mode", "ode", "--start", "1,2"], "fasttime_start"),
     (["fast-time", "--mode", "ode", "--start", "0,0,nan"], "fasttime_start"),
     (["pipeline", "--out-dir", ""], "out_dir"),
-], ids=["model", "nodes", "steady-tol-nan", "grad-file-missing", "grad-file-non-numeric",
-        "grad-file-one-species", "grad-const-nan", "grad-empty", "x0-boundary-node", "start-length", "start-nan",
-        "out-dir-empty"])
+], ids=["model", "nodes", "steady-tol-nan", "steady-tol-zero", "grad-file-missing",
+        "grad-file-non-numeric", "grad-file-one-species", "grad-const-nan", "grad-empty",
+        "x0-boundary-node", "start-length", "start-nan", "out-dir-empty"])
 def test_bad_config_flag_exits_2_before_any_stage(tmp_path, monkeypatch, capsys, argv, key):
     """A flag that names a config key is checked with the config, so no
     stage runs: each stage entry point here raises if it is reached."""
@@ -391,7 +396,7 @@ def test_fast_time_overflowing_start_exits_3_with_one_error_line(tmp_path, capsy
 
 
 def test_pde_solve_non_convergence_exits_3(tmp_path, capsys):
-    cfg = _write_config(tmp_path, {"steady_tol": 0.0})
+    cfg = _write_config(tmp_path, {"steady_tol": 1e-20})
     out = tmp_path / "profile.csv"
     assert main(["pde-solve", "--config", cfg, "--out", str(out)]) == 3
     assert "stationary" in capsys.readouterr().err
@@ -408,9 +413,10 @@ def test_pde_solve_zero_nodes_flag_exits_2(tmp_path, capsys):
 
 
 def test_pde_solve_zero_tol_flag_exits_3(tmp_path, capsys):
-    """``--tol 0`` ends like ``steady_tol: 0`` in the config."""
+    """A flag tolerance below what the solve can reach, ``--tol 1e-20``, ends
+    like ``steady_tol: 1e-20`` in the config (``--tol 0`` exits 2)."""
     out = tmp_path / "profile.csv"
-    assert main(["pde-solve", "--config", _write_config(tmp_path), "--tol", "0",
+    assert main(["pde-solve", "--config", _write_config(tmp_path), "--tol", "1e-20",
                  "--out", str(out)]) == 3
     assert "stationary" in capsys.readouterr().err
 
@@ -449,7 +455,7 @@ def test_pipeline_artifacts_and_determinism(tmp_path):
 
 def test_pipeline_failure_keeps_its_residual(tmp_path):
     config = RunConfig(nodes=21, mesh_points_per_axis=3, redim1d_points=11,
-                       redim2d_points=(11, 11), steady_tol=0.0)
+                       redim2d_points=(11, 11), steady_tol=1e-20)
     with pytest.raises(ConvergenceError) as exc:
         run_pipeline(config, str(tmp_path / "out"))
     assert str(exc.value).startswith("[stage pde] ")

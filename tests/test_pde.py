@@ -108,6 +108,20 @@ def test_steady_profile_history_is_logged(steady_101):
     assert hist[-1][1] < 1e-8 <= hist[0][1]
 
 
+def test_profile_fallback_counts_its_steps_not_its_starts():
+    """Right state (0.375, 0, 0) with delta = 1e-3: the Newton step from the
+    line ends above the start (0.0985 -> 0.111), and PTC from the same start
+    converges in 69 steps.  The history holds both starts, and ``steps``
+    counts the 70 steps between them, one of them Newton's."""
+    m = michaelis_menten_model(MichaelisMentenParams(delta=1e-3))
+    result = integrate_to_steady(m, BoundaryConditions(Z_EQ, [0.375, 0.0, 0.0]),
+                                 SolverSettings(node_count=51))
+    hist = result.residual_history
+    assert hist[-1][1] < SolverSettings().steady_tol
+    assert result.steps == 70 and len(hist) == 72 and hist[2] == hist[0]
+    assert [t for t, _ in hist].count(np.inf) == 1
+
+
 def test_residual_decreases_over_first_steps(steady_101):
     residuals = [r for _, r in steady_101.value.residual_history]
     assert all(b < a for a, b in zip(residuals, residuals[1:]))
@@ -143,13 +157,14 @@ def test_unreachable_tolerance_errors():
     m = michaelis_menten_model()
     bc = BoundaryConditions(Z_EQ, Z_RIGHT)
     with pytest.raises(ConvergenceError) as exc:
-        integrate_to_steady(m, bc, SolverSettings(node_count=21, steady_tol=0.0))
+        integrate_to_steady(m, bc, SolverSettings(node_count=21, steady_tol=1e-20))
     assert exc.value.residual is not None and exc.value.residual > 0.0
 
 
-@pytest.mark.parametrize("tol", [-1e-8, np.inf, np.nan])
-def test_steady_tol_must_be_finite_and_non_negative(tol):
-    # an infinite tol would return the linear start as the stationary profile
+@pytest.mark.parametrize("tol", [-1e-8, 0.0, np.inf, np.nan])
+def test_steady_tol_must_be_finite_and_positive(tol):
+    # an infinite tol would return the linear start as the stationary profile,
+    # and no residual falls below a zero one
     with pytest.raises(ContractViolationError, match="steady_tol"):
         SolverSettings(steady_tol=tol)
 
