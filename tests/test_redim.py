@@ -458,12 +458,14 @@ def test_redim2d_hold_none_with_diffusion_ends_at_its_first_step_not_below_the_s
 
 
 @pytest.mark.parametrize("chi", [0.3, 0.5])
-def test_redim2d_31_with_weak_constant_closure_ends_at_its_first_step_not_below_the_start(
+def test_redim2d_31_with_weak_constant_closure_ends_at_its_first_rising_step(
         monkeypatch, tmp_path, capsys, mm_model, mm_bc, chi):
     """With constant chi = 0.3 or 0.5 the 31 x 31 REDIM-2D does not relax
     (at 61 x 61 it does): from its start's 2.42, PTC falls to 0.036 and
-    2.2e-3, then ends at step 11 (668) and step 21 (184), where 200 PTC
-    steps were taken before, and ``fastslow redim`` on it exits 3."""
+    2.2e-3, then ends at its first step that rises to the start's residual
+    or above, step 11 (668) and step 21 (184), where 200 PTC steps were
+    taken before, and ``fastslow redim`` on it exits 3.  Steps that rise
+    above the previous one but stay below the start are taken."""
     calls = _residuals(monkeypatch)
     with pytest.raises(ConvergenceError, match="not stationary") as exc:
         evolve_redim_2d(mm_model, (0.0, 2.0), (0.0, 1.0), M1=31, M2=31,
