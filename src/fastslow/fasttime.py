@@ -167,6 +167,12 @@ def _measure(dec, model, y, track, dt, max_time, terms, solver):
     sample.  The terms of each new state serve three uses: the entry test
     of the tracked state, a K sample if it has not entered, and the first
     stage of the next step.  The default ``dt`` is :func:`_default_dt`.
+    A step that leaves ``y`` non-finite raises DivergenceError.  The PDE
+    tests ``y`` at every step, as it tracks one node.  The ODE tests it
+    only once the path length is non-finite: under IEEE arithmetic a
+    non-finite component of ``y`` makes ``Zt_f @ y`` non-finite even where
+    ``Zt_f`` is zero (0 * inf and 0 * NaN are NaN), and so the path, so it
+    raises at the same step.
     """
     threshold = math.sqrt(dec.epsilon)
     z0 = y if track is None else y[track]
@@ -200,12 +206,13 @@ def _measure(dec, model, y, track, dt, max_time, terms, solver):
                 y = solve(y + dt * (DELTA * F1 + rest * F2) + transport_dt * L2)
                 z = y[track]
             steps += 1
-            if not np.isfinite(y).all():
-                raise DivergenceError(
-                    f"transient became non-finite by t = {t + dt:g} (dt = {dt:g})")
             U = dec.Zt_f @ z
             dU = U - U_prev
             path += math.sqrt(dU @ dU)  # np.linalg.norm's formula for a real vector
+            # the ODE tracks all of y: a non-finite y makes path non-finite
+            if (solver is not None or not path < math.inf) and not np.isfinite(y).all():
+                raise DivergenceError(
+                    f"transient became non-finite by t = {t + dt:g} (dt = {dt:g})")
             U_prev = U
             F1, L1 = terms(y)
             gf = dec.Zt_f @ (F1 if track is None else F1[track])

@@ -173,8 +173,6 @@ def equilibrium(model: ReactionDiffusionModel, initial_guess, tol: float = 1e-12
                 max_iter: int = 100) -> np.ndarray:
     """Damped Newton solve of source(z) = 0: :func:`damped_newton` on one row,
     with the whole state space as the fibre."""
-    if not 0.0 < tol < np.inf:
-        raise ContractViolationError(f"tol must be finite and positive, got {tol!r}")
     eye = np.eye(model.dimension)
     z, converged, singular, residual = damped_newton(
         lambda z: eval_source(model, z), model.jacobian, eye, eye,

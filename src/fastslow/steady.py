@@ -34,18 +34,29 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import ConvergenceError, DivergenceError
+from .errors import ContractViolationError, ConvergenceError, DivergenceError
 
 __all__ = ["band_assembler", "damped_newton", "difference_matrix", "relax_free"]
 
 DTAU0 = 0.1           # first pseudo-time step, in the model's time units
 MAX_ITERATIONS = 200
-HALVINGS = 40         # step lengths 1, 1/2, ..., 2**-39 per damped-Newton line search
+# step lengths 1, 1/2, ..., 2**-16 per damped-Newton line search: a row that
+# no length improves stops there, unconverged, as damped Newton codes stop at
+# a minimum damping factor (lambda_min = 1e-4 in Deuflhard's NLEQ codes; 1e-8
+# for extremely nonlinear problems).  2**-16 is the shortest floor that moves
+# no converged mesh row and no equilibrium outcome measured: 2**-12 changes 2
+# of 600 seeded equilibrium starts, 2**-8 changes 12.
+HALVINGS = 17
 BLOCK = 8             # shorter step lengths evaluated in one call
-# the full step, then the shorter lengths in blocks: 1 | 2**-1 .. 2**-8 | ...,
+# after the full step, the shorter lengths in blocks: 2**-1 .. 2**-8 | 2**-9 .. 2**-16,
 # each a (lengths, 1, 1) column that scales a stack of steps
-_STEP_BLOCKS = [b[:, None, None] for b in np.split(np.ldexp(1.0, -np.arange(HALVINGS)),
-                                                   range(1, HALVINGS, BLOCK))]
+_STEP_BLOCKS = [b[:, None, None] for b in np.split(np.ldexp(1.0, -np.arange(1, HALVINGS)),
+                                                   range(BLOCK, HALVINGS - 1, BLOCK))]
+
+
+def _check_tol(tol):
+    if not 0.0 < tol < np.inf:
+        raise ContractViolationError(f"tol must be finite and positive, got {tol!r}")
 
 
 def difference_matrix(m, d, order, s=np.s_[:]):
@@ -120,8 +131,10 @@ def relax_free(rate, initial, free, tol):
     by switched evolution relaxation, never below ``DTAU0``.  On the PTC
     path a step that ends at or above ``r0``, a singular step or
     ``MAX_ITERATIONS`` steps raise ConvergenceError carrying the residual;
-    a non-finite residual raises DivergenceError.
+    a non-finite residual raises DivergenceError; a ``tol`` that is not
+    finite and positive raises ContractViolationError before any step.
     """
+    _check_tol(tol)
     history = []
     for dtau_start in (np.inf, DTAU0):  # Newton steps, then PTC from the same start
         A = np.array(initial, dtype=float)
@@ -191,23 +204,29 @@ def damped_newton(phi, jacobian, P, B, offset, U0, tol, max_iter):
     Each row runs its own iteration: it stops once ``|g|_inf < tol``, with
     ``g = P phi(z)``, steps by ``solve(P J(z) B, -g)`` scaled by the first of
     the lengths ``2**-k``, ``k = 0 .. HALVINGS - 1``, that strictly decreases
-    its residual.  The full step of every row is tried in one ``phi`` call;
-    the rows it does not improve try the shorter lengths in blocks of
-    ``BLOCK`` per call, so every length of a block is evaluated, also those
-    past the one a row takes, and ``phi`` must accept them (an
+    its residual.  The full step ``U + dU`` of every row is tried in one
+    ``phi`` call; where it improves every live row, those rows are updated
+    in place.  The rows it does not improve try the shorter lengths in
+    blocks of ``BLOCK`` per call, so every length of a block is evaluated,
+    also those past the one a row takes, and ``phi`` must accept them (an
     :func:`~fastslow.core.eval_source` that raises on a non-finite value
     raises for any of them).  A row freezes when it converges, when no
-    length decreases its residual or when its reduced Jacobian is
-    singular.  Only rows still iterating are evaluated, and each row takes
-    the step it would take alone.  An iteration's work is proportional to
-    its live rows, kept as an ascending index array; the blocks of lengths
-    are built once, at import, and a row's offset is broadcast over them,
-    so a one-row solve costs its kernel calls and a few dozen small array
-    operations per iteration.  Returns ``(z, converged, singular,
-    residual)``, one entry per row: the last iterate, whether its residual
-    is below ``tol``, whether it stopped on a singular Jacobian, and
-    ``|g|_inf`` there.
+    length down to ``2**-(HALVINGS - 1)`` decreases its residual (the
+    damping floor) or when its reduced Jacobian is singular.  Only rows
+    still iterating are evaluated, and each row takes the step it would
+    take alone.  An iteration's work is proportional to its live rows,
+    kept as an ascending index array, or read and written as whole arrays
+    while every row iterates; the stack is solved in one
+    ``np.linalg.solve``, bisected (:func:`_solve_rows`) only when that
+    raises, and the blocks of lengths are built once, at import.  A
+    one-row iteration that takes its full step costs its kernel calls and
+    a dozen small array operations.  Returns ``(z, converged,
+    singular, residual)``, one entry per row: the last iterate, whether its
+    residual is below ``tol``, whether it stopped on a singular Jacobian,
+    and ``|g|_inf`` there.  A ``tol`` that is not finite and positive
+    raises ContractViolationError before any iteration.
     """
+    _check_tol(tol)
     m, k = offset.shape[0], B.shape[1]
     PT, BT = P.T, B.T
     U = np.zeros((m, k))
@@ -223,11 +242,27 @@ def damped_newton(phi, jacobian, P, B, offset, U0, tol, max_iter):
         rows = rows[~(gnorm[rows] < tol)]
         if rows.size == 0:
             break
-        dU, ok = _solve_rows(P @ jacobian(z[rows]) @ B, -g[rows])
-        if not ok.all():
+        live = np.s_[:] if rows.size == m else rows  # every row iterates: no gathers
+        J, b = P @ jacobian(z[live]) @ B, -g[live]
+        try:
+            dU = np.linalg.solve(J, b[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            dU, ok = _solve_rows(J, b)
             singular[rows[~ok]] = True
             rows, dU = rows[ok], dU[ok]
-        r = rows  # the rows no length has moved yet
+            live = rows
+        U_new = U[live] + dU  # the full step
+        z_new = U_new @ BT + offset[live]
+        g_new = phi(z_new) @ PT
+        gnorm_new = np.abs(g_new).max(axis=1)
+        down = gnorm_new < gnorm[live]
+        if down.all():
+            U[live], z[live], g[live], gnorm[live] = U_new, z_new, g_new, gnorm_new
+            continue
+        took = rows[down]
+        U[took], z[took], g[took], gnorm[took] = (
+            U_new[down], z_new[down], g_new[down], gnorm_new[down])
+        r, dU = rows[~down], dU[~down]  # the rows no length has moved yet
         for steps in _STEP_BLOCKS:
             U_new = (U[r] + steps * dU).reshape(-1, k)
             z_new = ((U_new @ BT).reshape(len(steps), -1, n) + offset[r]).reshape(-1, n)

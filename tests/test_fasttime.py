@@ -380,10 +380,19 @@ def test_reports_match_the_pinned_reports(mm_dec, mm_model, mm_bc):
 def test_source_turning_non_finite_raises_divergence():
     """A source that turns NaN once the fast component has fallen below 0.5,
     half way to the slow neighborhood, stops both measurements with
-    DivergenceError, not with a contract error on the non-finite source."""
+    DivergenceError, not with a contract error on the non-finite source.
+
+    The ODE tests the finiteness of its state only once the fast-coordinate
+    path length is non-finite.  ``Zt_f`` is zero on the slow species here, so
+    a source NaN in the slow component alone, and a slow component that
+    overflows from a start whose fast coordinate is finite, reach the path
+    only through ``0 * NaN`` and ``0 * inf``: both still stop at the step
+    where the state turned non-finite (t = 0.75 and 0.05, as when every
+    step was tested)."""
     A = np.diag([-1e-4, -1.0])
     model = linear_model(A, np.zeros(2), diffusion=np.full(2, 0.01))
     dec = spectral_split(A)
+    assert dec.Zt_f[0, 0] == 0.0
     broken = dataclasses.replace(
         model, source=lambda z: np.where(z[..., 1:] < 0.5, np.nan, model.source(z)))
     with pytest.raises(DivergenceError, match="non-finite by t = "):
@@ -391,6 +400,19 @@ def test_source_turning_non_finite_raises_divergence():
     bc = BoundaryConditions(np.ones(2), np.ones(2))
     with pytest.raises(DivergenceError, match="non-finite by t = "):
         measure_fast_time_pde(dec, broken, bc, SolverSettings(node_count=21), x0=0.5)
+
+    def slow_nan(z):
+        f = model.source(z)
+        return np.stack([np.where(z[..., 1] < 0.5, np.nan, f[..., 0]), f[..., 1]], axis=-1)
+    slow_broken = dataclasses.replace(model, source=slow_nan)
+    with pytest.raises(DivergenceError, match=r"non-finite by t = 0\.75 \(dt = 0\.05\)"):
+        measure_fast_time_ode(dec, slow_broken, np.ones(2))
+    with pytest.raises(DivergenceError, match=r"non-finite by t = 0\.75 \(dt = 0\.05\)"):
+        measure_fast_time_pde(dec, slow_broken, bc, SolverSettings(node_count=21), x0=0.5)
+    # the slow component grows at 1e-4 from the largest float: the first step overflows
+    growing = dataclasses.replace(model, source=lambda z: model.source(z) * np.array([-1.0, 1.0]))
+    with pytest.raises(DivergenceError, match=r"non-finite by t = 0\.05 \(dt = 0\.05\)"):
+        measure_fast_time_ode(dec, growing, np.array([np.finfo(float).max, 1.0]))
 
 
 def test_fast_residual_norm_scale(mm_dec, mm_model):

@@ -276,7 +276,10 @@ def test_mesh_matches_golden(mm_mesh):
 
 def test_mesh_line_search_evaluates_in_blocks(mm_dec, mm_model, mm_eq, mm_mesh):
     """The 30-per-axis mesh makes 583 source calls when each fibre halves its
-    step one call at a time, 93 with the shorter lengths tried in blocks."""
+    step one call at a time down to 2**-39, 93 with the shorter lengths
+    tried in blocks, and 33 on 10,424 states (27,661 before) once the line
+    search stops at the damping floor 2**-16: the fibres with no root stop
+    there instead of halving until rounding stops them."""
     calls = []
 
     def source(z):
@@ -287,8 +290,22 @@ def test_mesh_line_search_evaluates_in_blocks(mm_dec, mm_model, mm_eq, mm_mesh):
     grid = default_slow_grid(dec, mm_model, points_per_axis=30)
     mesh = slow_manifold_mesh(dec, dataclasses.replace(mm_model, source=source), grid,
                               tol=1e-10, U0=dec.Zt_f @ mm_eq.value)
-    assert len(calls) <= 100, len(calls)
+    assert (len(calls), sum(calls)) == (33, 10424)
     assert np.array_equal(mesh.states, mm_mesh.value.states, equal_nan=True)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_fiber_tol_must_be_finite_and_positive(tol, mm_dec, mm_model):
+    """Both fibre entry points refuse a tol that is not finite and positive
+    before any source evaluation."""
+    def source(z):
+        raise AssertionError("evaluated")
+    dec, model = mm_dec.value, dataclasses.replace(mm_model, source=source)
+    grid = default_slow_grid(dec, mm_model, points_per_axis=3)
+    with pytest.raises(ContractViolationError, match="tol"):
+        slow_manifold_mesh(dec, model, grid, tol=tol)
+    with pytest.raises(ContractViolationError, match="tol"):
+        solve_on_fiber(dec, model, grid[4], tol=tol)
 
 
 def test_mesh_all_nodes_unreachable(mm_dec, mm_model):

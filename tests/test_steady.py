@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fastslow import pde, redim, steady
 from fastslow.core import ReactionDiffusionModel, eval_source
-from fastslow.errors import ConvergenceError, DivergenceError
+from fastslow.errors import ContractViolationError, ConvergenceError, DivergenceError
 from fastslow.gql import default_slow_grid
 from fastslow.models import MichaelisMentenParams, equilibrium, michaelis_menten_model
 from fastslow.pde import BoundaryConditions, SolverSettings, integrate_to_steady
@@ -353,6 +353,18 @@ def test_relax_free_holds_the_rest_and_logs_each_step():
     assert all(a < b for a, b in zip(taus, taus[1:]))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_relax_free_tol_must_be_finite_and_positive(tol, mm_model, mm_bc):
+    """A tol no residual can fall below (0, -1, NaN), or one every start
+    meets (inf), is a contract error before the rate is evaluated."""
+    def rate(A):
+        raise AssertionError("evaluated")
+    with pytest.raises(ContractViolationError, match="tol"):
+        relax_free(rate, np.zeros((3, 2)), np.s_[1:-1], tol)
+    with pytest.raises(ContractViolationError, match="tol"):
+        evolve_redim_1d(mm_model, (mm_bc.left_state, mm_bc.right_state), M=11, tol=tol)
+
+
 def test_damped_newton_rows_are_independent_equilibrium_solves():
     """With P = B = I and a zero offset each row is an equilibrium solve: a
     singular start is flagged on its own row and the others converge to
@@ -372,7 +384,8 @@ def test_damped_newton_rows_are_independent_equilibrium_solves():
 
 def _sequential_damped_newton(phi, jacobian, P, B, offset, U0, tol, max_iter):
     """:func:`damped_newton` with the line search it replaced: one ``phi``
-    call per halving, 1, 1/2, ..., 2**-39, for the rows not yet improved."""
+    call per halving, 1, 1/2, ..., 2**-(HALVINGS - 1), for the rows not yet
+    improved."""
     m = offset.shape[0]
     U = np.zeros((m, B.shape[1])) if U0 is None else np.array(
         np.broadcast_to(U0, (m, B.shape[1])), dtype=float)
@@ -391,7 +404,7 @@ def _sequential_damped_newton(phi, jacobian, P, B, offset, U0, tol, max_iter):
         live[rows[~ok]] = False
         rows, dU = rows[ok], dU[ok]
         step = 1.0
-        for _ in range(40):
+        for _ in range(steady.HALVINGS):
             U_new = U[rows] + step * dU
             z_new = U_new @ B.T + offset[rows]
             g_new = phi(z_new) @ P.T
@@ -409,9 +422,13 @@ def _sequential_damped_newton(phi, jacobian, P, B, offset, U0, tol, max_iter):
 
 
 def _cubic_rows():
-    """``z^3 = 1`` from starts whose full Newton step overshoots by 2**k: the
-    residual first falls at a length in each block of the line search, none
-    does from 1e-7 (a step of 3e13), and the derivative vanishes at 0."""
+    """``z^3 = 1`` from starts whose full Newton step overshoots by 2**k.
+    From -1, 2, 0.1 and 1e-2 the residual first falls at the full step or at
+    a length of the first or second block (2**-1, 2**-5, 2**-12), and they
+    converge.  From 1e-3, 1e-4, 1e-5 and 1e-6 it would first fall at 2**-19,
+    2**-25, 2**-32 and 2**-38, past the damping floor 2**-16, so they stop
+    unconverged at their start, as does 1e-7 (a step of 3e13, first falling
+    at 2**-45); the derivative vanishes at 0."""
     starts = np.array([[-1.0], [2.0], [0.1], [1e-2], [1e-3], [1e-4], [1e-5], [1e-6], [1e-7], [0.0]])
     eye = np.eye(1)
     return (lambda z: z ** 3 - 1.0, lambda z: 3.0 * z[..., None] ** 2, eye, eye,
