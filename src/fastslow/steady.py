@@ -40,18 +40,16 @@ __all__ = ["band_assembler", "damped_newton", "difference_matrix", "relax_free"]
 
 DTAU0 = 0.1           # first pseudo-time step, in the model's time units
 MAX_ITERATIONS = 200
-# step lengths 1, 1/2, ..., 2**-16 per damped-Newton line search: a row that
-# no length improves stops there, unconverged, as damped Newton codes stop at
+# step lengths 1, 1/2, ..., 2**-16 per damped-Newton line search, the full
+# step in one call and the 16 shorter ones in one more: a row that no
+# length improves stops there, unconverged, as damped Newton codes stop at
 # a minimum damping factor (lambda_min = 1e-4 in Deuflhard's NLEQ codes; 1e-8
 # for extremely nonlinear problems).  2**-16 is the shortest floor that moves
 # no converged mesh row and no equilibrium outcome measured: 2**-12 changes 2
 # of 600 seeded equilibrium starts, 2**-8 changes 12.
 HALVINGS = 17
-BLOCK = 8             # shorter step lengths evaluated in one call
-# after the full step, the shorter lengths in blocks: 2**-1 .. 2**-8 | 2**-9 .. 2**-16,
-# each a (lengths, 1, 1) column that scales a stack of steps
-_STEP_BLOCKS = [b[:, None, None] for b in np.split(np.ldexp(1.0, -np.arange(1, HALVINGS)),
-                                                   range(BLOCK, HALVINGS - 1, BLOCK))]
+# 2**-1 .. 2**-16 as a (lengths, 1, 1) column that scales a stack of steps
+_STEPS = np.ldexp(1.0, -np.arange(1, HALVINGS))[:, None, None]
 
 
 def _check_tol(tol):
@@ -206,9 +204,9 @@ def damped_newton(phi, jacobian, P, B, offset, U0, tol, max_iter):
     the lengths ``2**-k``, ``k = 0 .. HALVINGS - 1``, that strictly decreases
     its residual.  The full step ``U + dU`` of every row is tried in one
     ``phi`` call; where it improves every live row, those rows are updated
-    in place.  The rows it does not improve try the shorter lengths in
-    blocks of ``BLOCK`` per call, so every length of a block is evaluated,
-    also those past the one a row takes, and ``phi`` must accept them (an
+    in place.  The rows it does not improve try all the shorter lengths in
+    one more call, so every length is evaluated, also those past the one a
+    row takes, and ``phi`` must accept them (an
     :func:`~fastslow.core.eval_source` that raises on a non-finite value
     raises for any of them).  A row freezes when it converges, when no
     length down to ``2**-(HALVINGS - 1)`` decreases its residual (the
@@ -218,9 +216,10 @@ def damped_newton(phi, jacobian, P, B, offset, U0, tol, max_iter):
     kept as an ascending index array, or read and written as whole arrays
     while every row iterates; the stack is solved in one
     ``np.linalg.solve``, bisected (:func:`_solve_rows`) only when that
-    raises, and the blocks of lengths are built once, at import.  A
-    one-row iteration that takes its full step costs its kernel calls and
-    a dozen small array operations.  Returns ``(z, converged,
+    raises, and the column of lengths is built once, at import.  An
+    iteration thus makes at most two ``phi`` calls, and a one-row
+    iteration that takes its full step costs its kernel calls and a dozen
+    small array operations.  Returns ``(z, converged,
     singular, residual)``, one entry per row: the last iterate, whether its
     residual is below ``tol``, whether it stopped on a singular Jacobian,
     and ``|g|_inf`` there.  A ``tol`` that is not finite and positive
@@ -262,22 +261,18 @@ def damped_newton(phi, jacobian, P, B, offset, U0, tol, max_iter):
         took = rows[down]
         U[took], z[took], g[took], gnorm[took] = (
             U_new[down], z_new[down], g_new[down], gnorm_new[down])
-        r, dU = rows[~down], dU[~down]  # the rows no length has moved yet
-        for steps in _STEP_BLOCKS:
-            U_new = (U[r] + steps * dU).reshape(-1, k)
-            z_new = ((U_new @ BT).reshape(len(steps), -1, n) + offset[r]).reshape(-1, n)
-            g_new = phi(z_new) @ PT
-            gnorm_new = np.abs(g_new).max(axis=1)
-            down = gnorm_new.reshape(len(steps), -1) < gnorm[r]
-            hit = down.any(axis=0)
-            # the first length that decreases the residual, as a row of the block
-            pick = down.argmax(axis=0)[hit] * len(r) + np.flatnonzero(hit)
-            took = r[hit]
-            U[took], z[took], g[took], gnorm[took] = (
-                U_new[pick], z_new[pick], g_new[pick], gnorm_new[pick])
-            if hit.all():
-                break
-            r, dU = r[~hit], dU[~hit]
-        else:  # no length decreased the residual of the rows in r
-            rows = np.delete(rows, np.searchsorted(rows, r))
+        r, dU = rows[~down], dU[~down]  # the rows the full step does not improve
+        U_new = (U[r] + _STEPS * dU).reshape(-1, k)
+        z_new = ((U_new @ BT).reshape(len(_STEPS), -1, n) + offset[r]).reshape(-1, n)
+        g_new = phi(z_new) @ PT
+        gnorm_new = np.abs(g_new).max(axis=1)
+        down = gnorm_new.reshape(len(_STEPS), -1) < gnorm[r]
+        hit = down.any(axis=0)
+        # the first length that decreases the residual, as a row of the call
+        pick = down.argmax(axis=0)[hit] * len(r) + np.flatnonzero(hit)
+        took = r[hit]
+        U[took], z[took], g[took], gnorm[took] = (
+            U_new[pick], z_new[pick], g_new[pick], gnorm_new[pick])
+        # no length decreased the residual of the rows in r[~hit]: the damping floor
+        rows = np.delete(rows, np.searchsorted(rows, r[~hit]))
     return z, gnorm < tol, singular, gnorm

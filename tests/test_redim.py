@@ -15,7 +15,7 @@ from fastslow.errors import (
     ParametrizationError,
 )
 from fastslow.models import MichaelisMentenParams, linear_model, michaelis_menten_model
-from fastslow.pde import SolverSettings, integrate_to_steady
+from fastslow.pde import BoundaryConditions, SolverSettings, integrate_to_steady
 from fastslow.redim import (
     Manifold1D,
     Manifold2D,
@@ -566,6 +566,56 @@ def test_redim2d_contains_stationary_profile(redim2d_mm, steady_101):
     pts = np.clip(prof[:, :2], [man.theta1_grid[0], man.theta2_grid[0]],
                   [man.theta1_grid[-1], man.theta2_grid[-1]])
     assert np.abs(itp(pts) - prof[:, 2]).max() <= 2e-2
+
+
+# the profile's and the REDIMs' steady tolerance: two solves of one problem
+# that agree only to within it tell nothing about which way an axis points
+SOLVE_TOL = 1e-8
+
+
+def test_profile_closure_does_not_depend_on_which_way_x_points(
+        mm_model, mm_bc, steady_101, redim1d_mm, redim2d_mm):
+    """With the boundary states swapped, X falls along x: the profile is the
+    shipped one reversed (2.8e-10), its closure's chi1 and chi2 are the
+    shipped ones negated (2.4e-9 and 8.1e-10 on the theta grids), and the
+    REDIM-1D and REDIM-2D built from it, which see chi only in products of
+    two, match the shipped ones (8.7e-11 and 3.9e-10)."""
+    swapped = integrate_to_steady(
+        mm_model, BoundaryConditions(left_state=mm_bc.right_state, right_state=mm_bc.left_state),
+        SolverSettings()).profile
+    assert np.abs(swapped.states[::-1] - steady_101.value.profile.states).max() <= SOLVE_TOL
+
+    r1d = evolve_redim_1d(mm_model, (mm_bc.left_state, mm_bc.right_state), M=101,
+                          grad=gradient_estimate_from_profile(swapped, "1d"))
+    r2d = evolve_redim_2d(mm_model, (0.0, 2.0), (0.0, 1.0), M1=61, M2=61,
+                          grad=gradient_estimate_from_profile(swapped, "2d"),
+                          anchor_values=(float(mm_bc.left_state[2]), float(mm_bc.right_state[2])))
+    shipped1, shipped2 = redim1d_mm.value, redim2d_mm.value
+    assert np.abs(r1d.chi + shipped1.chi).max() <= SOLVE_TOL
+    assert np.abs(r2d.chi1 + shipped2.chi1).max() <= SOLVE_TOL
+    assert np.abs(r2d.chi2 + shipped2.chi2).max() <= SOLVE_TOL
+    assert np.abs(r1d.states - shipped1.states).max() <= SOLVE_TOL
+    assert np.abs(r2d.Z_values - shipped2.Z_values).max() <= SOLVE_TOL
+
+
+def test_redims_do_not_depend_on_which_way_theta_points(mm_model, mm_bc, mm_grad1, mm_grad2,
+                                                        redim1d_mm, redim2d_mm):
+    """Swapped anchors give the REDIM-1D reversed (3.8e-14); a reversed
+    theta1 range with swapped anchor values gives the REDIM-2D flipped along
+    theta1 (4.9e-11), a reversed theta2 range flipped along theta2
+    (8.2e-11)."""
+    r1d = evolve_redim_1d(mm_model, (mm_bc.right_state, mm_bc.left_state), M=101,
+                          grad=mm_grad1)
+    assert np.abs(r1d.states[::-1] - redim1d_mm.value.states).max() <= SOLVE_TOL
+
+    z_lo, z_hi = float(mm_bc.left_state[2]), float(mm_bc.right_state[2])
+    shipped = redim2d_mm.value.Z_values
+    flip1 = evolve_redim_2d(mm_model, (2.0, 0.0), (0.0, 1.0), M1=61, M2=61, grad=mm_grad2,
+                            anchor_values=(z_hi, z_lo))
+    flip2 = evolve_redim_2d(mm_model, (0.0, 2.0), (1.0, 0.0), M1=61, M2=61, grad=mm_grad2,
+                            anchor_values=(z_lo, z_hi))
+    assert np.abs(flip1.Z_values[::-1] - shipped).max() <= SOLVE_TOL
+    assert np.abs(flip2.Z_values[:, ::-1] - shipped).max() <= SOLVE_TOL
 
 
 def test_redim2d_zero_diffusion_reduces_to_slow_manifold(mm_dec):
