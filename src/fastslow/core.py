@@ -176,17 +176,26 @@ def interior_terms(model: ReactionDiffusionModel, states: np.ndarray, dx: float)
 
 def write_rows_csv(path, header, rows, comment: str) -> None:
     """Write ``# comment``, the header and a 2-D array of rows as CSV, 17
-    significant digits; a comment spanning lines is rejected."""
+    significant digits; a comment spanning lines is rejected.  Within each
+    block of rows, a column that repeats values (a grid axis) formats each
+    distinct value once, keyed on its bits, since ``-0.0`` prints as ``-0``."""
     if "\n" in comment or "\r" in comment:
         raise ContractViolationError(f"CSV comment must be one line, got {comment!r}")
     rows = np.asarray(rows, dtype=float)
-    line = ",".join([FLOAT_FMT] * rows.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {comment}\n" + ",".join(header) + "\n")
         # one % per block of rows: the whole array at once costs more memory
         for k in range(0, len(rows), CSV_BLOCK_ROWS):
             block = rows[k:k + CSV_BLOCK_ROWS]
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+            cells, formats = block.astype(object), [FLOAT_FMT] * block.shape[1]
+            for j, c in enumerate(block.T):
+                bits, where = np.unique(c.view(np.int64), return_inverse=True)
+                if len(bits) < len(c):
+                    text = f"{FLOAT_FMT}\n" * len(bits) % tuple(bits.view(float).tolist())
+                    cells[:, j] = np.array(text.split("\n"), dtype=object)[where]
+                    formats[j] = "%s"
+            line = ",".join(formats) + "\n"
+            fh.write(line * len(block) % tuple(cells.ravel().tolist()))
 
 
 def write_profile_csv(path, profile: SpatialProfile, species, comment: str = "") -> None:

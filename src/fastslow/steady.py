@@ -7,8 +7,12 @@ pseudo-transient continuation (PTC; Kelley & Keyes, SIAM J. Numer. Anal. 35,
 grown by switched evolution relaxation, dtau <- dtau * |F_old| / |F_new|
 (Mulder & van Leer, JCP 59, 1985).  Far from the solution this follows the
 pseudo-time path; as the residual falls the step becomes Newton's.  Its
-Jacobian is exact, assembled from a 1-D matrix along each grid axis.  One
-rule decides the path: no step may end at or above the residual of the
+Jacobian is exact, a sum of Kronecker terms of a 1-D matrix along each grid
+axis, written straight into the single-precision LAPACK band
+(:func:`band_assembler`): a diagonal of dense node blocks through one
+strided view of the band, a weighted stencil one band row per pair of
+diagonals, and the rows that the band LU keeps for its fill-in left to it.
+One rule decides the path: no step may end at or above the residual of the
 start it came from.  A solve takes Newton steps from its start, and
 restarts the pseudo-time path from the same start at the first step that
 does, so a failed attempt costs its steps only; on the pseudo-time path
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as sla
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ContractViolationError, ConvergenceError, DivergenceError
 
@@ -64,14 +69,15 @@ def difference_matrix(m, d, order, s=np.s_[:]):
     ``s``: diagonals ``{k: c}``, ``c[i]`` in row ``i`` and column ``i + k``."""
     central, edge = [([0.0, 1.0, 0.0], [1.0]), ([-0.5, 0.0, 0.5], [-1.5, 2.0, -0.5]),
                      ([1.0, -2.0, 1.0], [2.0, -5.0, 4.0, -1.0])][order]
-    P = {k: np.zeros(m) for k in range(-3, 4)}
-    for k, c in zip((-1, 0, 1), central):
-        P[k][1:-1] = c / d ** order
+    P = np.zeros((7, m))  # diagonals -3..3
+    P[2:5, 1:-1] = np.array(central)[:, None] / d ** order
     for k, c in enumerate(edge):  # a first difference changes sign under reflection
-        P[k][0], P[-k][-1] = c / d ** order, (-1) ** order * c / d ** order
+        P[3 + k, 0], P[3 - k, -1] = c / d ** order, (-1) ** order * c / d ** order
     i = np.arange(m)[s]  # column i + k is in s iff it lies in [i[0], i[-1]]
-    return {k: c for k, c in ((k, p[s] * ((i[0] <= i + k) & (i + k <= i[-1])))
-                              for k, p in P.items()) if c.any()}
+    # diagonals -1..1, and the reach of each end row that s holds
+    ks = np.arange(-3 if i[-1] == m - 1 else -1, (3 if i[0] == 0 else 1) + 1)
+    P = P[ks + 3][:, s] * ((i[0] <= i + ks[:, None]) & (i + ks[:, None] <= i[-1]))
+    return {int(k): c for k, c in zip(ks, P) if c.any()}
 
 
 def band_assembler(shape, terms):
@@ -79,25 +85,44 @@ def band_assembler(shape, terms):
     (C order) as ``(bw, ab)``, the band in LAPACK gbsv storage, ``J[r, c]`` at
     ``ab[2 * bw + r - c, c]`` (``ab`` is reused).  Term ``(P, W)`` and weight
     ``w`` add ``P[a, a'] W_a[b, b']`` at row ``(a, b)``, column ``(a', b')``:
-    ``P``, ``W`` as diagonals, ``W_a = diag(w[a]) W``, or ``w[a]`` if W is None."""
+    ``P``, ``W`` as diagonals, ``W_a = diag(w[a]) W``, or ``w[a]`` if W is None.
+
+    ``ab`` is Fortran-ordered, so ``J[r, c]`` sits at flat offset
+    ``2 bw + r + c (ld - 1)``, ``ld = 3 bw + 1``: affine in the block row ``a``
+    and the in-block pair ``(b, b')``.  Diagonal ``k`` of a dense-block term
+    (W None) is thus one strided ``(a, b, b')`` view of the band, written by
+    one add; a weighted-stencil term adds one band row per ``(k, l)``.  Each
+    entry sums its terms in their order.  Only rows ``bw:`` are written: gbsv
+    keeps rows ``:bw`` for its fill-in, and the caller need not set them."""
     n0, n1 = shape
     n, dense = n0 * n1, range(1 - n1, n1)
     bw = max(abs(k * n1 + l) for P, W in terms for k in P for l in (dense if W is None else W))
-    # the band LU runs in blocks of 32 columns: at 61 x 61 nodes it factors
-    # a half-bandwidth of 64 in 10 ms, 63 in 26 ms; pad if under 8 diagonals
+    # the band LU runs in blocks of 32 columns: sgbsv factors the study's 61 x 61
+    # Jacobian at a half-bandwidth of 64 in 5.1-7.4 ms, at its own 63 in 13.4-13.5
+    # ms (2-vCPU VM, one BLAS thread); pad if under 8 diagonals
     bw += -bw % 32 if -bw % 32 < 8 else 0
     # single precision halves the band; residuals stay in double precision
-    ab = np.empty((3 * bw + 1, n), dtype=np.float32, order="F")
+    ld = 3 * bw + 1
+    ab = np.empty((ld, n), dtype=np.float32, order="F")
+    flat, e = ab.reshape(-1, order="F"), ab.itemsize  # a view: ab is F-contiguous
+
+    def blocks(k):  # rows a of P's diagonal k that have a column a + k, as (a, b, b')
+        a = np.s_[max(-k, 0):n0 - max(k, 0)]
+        start = 2 * bw + (a.start * ld + k * (ld - 1)) * n1
+        return a, as_strided(flat[start:], (a.stop - a.start, n1, n1),
+                             (n1 * ld * e, e, (ld - 1) * e))
+
+    views = [{k: blocks(k) for k in P if abs(k) < n0} if W is None else None
+             for P, W in terms]
 
     def assemble(weights):
-        ab[:] = 0.0
-        for (P, W), w in zip(terms, weights):
-            if W is None:  # diagonal l of the dense blocks, zero where undefined
-                Wa = {l: np.zeros((n0, n1)) for l in dense}
-                for l, c in Wa.items():
-                    c[:, max(-l, 0):n1 - max(l, 0)] = np.diagonal(w, l, 1, 2)
-            else:
-                Wa = {l: w * c for l, c in W.items()}
+        ab[bw:] = 0.0
+        for (P, W), w, view in zip(terms, weights, views):
+            if view is not None:  # the dense blocks of diagonal k, all (b, b') at once
+                for k, (a, v) in view.items():
+                    v += P[k][a, None, None] * w[a]
+                continue
+            Wa = {l: w * c for l, c in W.items()}
             for k, p in P.items():
                 for l, c in Wa.items():  # J[r, r + s] = v[r]
                     s, v = k * n1 + l, (p[:, None] * c).ravel()
@@ -131,6 +156,9 @@ def relax_free(rate, initial, free, tol):
     ``MAX_ITERATIONS`` steps raise ConvergenceError carrying the residual;
     a non-finite residual raises DivergenceError; a ``tol`` that is not
     finite and positive raises ContractViolationError before any step.
+    The band and the right-hand side are single precision: a value that
+    overflows them does so silently, and the step it spoils ends in one of
+    these errors, not in a numpy warning.
     """
     _check_tol(tol)
     history = []
@@ -149,11 +177,12 @@ def relax_free(rate, initial, free, tol):
                 failure = ConvergenceError(f"not stationary after {step} steps",
                                            residual=residual)
                 break
-            bw, ab = jac()
-            ab *= -1.0
+            with np.errstate(over="ignore", invalid="ignore"):  # left to the residual checks
+                bw, ab = jac()
+                F = R.ravel().astype(np.float32)
+            ab[bw:] *= -1.0  # rows :bw are gbsv's own
             ab[2 * bw] += 1.0 / dtau
-            _, _, d, info = sla.lapack.sgbsv(bw, bw, ab, R.ravel().astype(np.float32),
-                                             overwrite_ab=True)
+            _, _, d, info = sla.lapack.sgbsv(bw, bw, ab, F, overwrite_ab=True)
             if info > 0:
                 failure = ConvergenceError(f"singular step matrix at pseudo-time {tau:g}",
                                            residual=residual)

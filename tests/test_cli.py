@@ -395,6 +395,19 @@ def test_fast_time_overflowing_start_exits_3_with_one_error_line(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra", [{"model_params": {"delta": 1e300}},
+                                   {"fasttime_start": [-1e300, 1e8, 1e8]}],
+                         ids=["huge-delta", "huge-start"])
+def test_steady_overflow_exits_3_with_one_error_line(tmp_path, capsys, extra):
+    """A band or right-hand side past float32's range ends the profile's
+    solve in one ``error:`` line and exit 3, with no numpy warning."""
+    assert main(["pipeline", "--config", _write_config(tmp_path, extra),
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: [stage pde] non-finite")
+    assert "Warning" not in err
+
+
 def test_pde_solve_non_convergence_exits_3(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"steady_tol": 1e-20})
     out = tmp_path / "profile.csv"

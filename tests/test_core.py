@@ -184,6 +184,22 @@ def test_rows_csv_blocks_and_tuples_match_value_by_value_formatting(tmp_path):
         assert path.read_text() == "\n".join(expect) + "\n"
 
 
+def test_rows_csv_repeated_values_match_value_by_value_formatting(tmp_path):
+    """Columns that repeat values, over more than one block: each block
+    formats a distinct value once, keyed on its bits, so ``-0.0`` and
+    ``0.0`` keep their own text; a column with no repeat sits beside them."""
+    rng = np.random.default_rng(2)
+    grid = np.linspace(-1.0, 1.0, 37)
+    signed_zeros = rng.choice([-0.0, 0.0, np.inf, -np.inf, np.nan, 0.1], 1100)
+    rows = np.column_stack([np.repeat(grid, 30)[:1100], np.tile(grid, 30)[:1100],
+                            signed_zeros, rng.standard_normal(1100)])
+    path = tmp_path / "rows.csv"
+    write_rows_csv(path, ["a", "b", "c", "d"], rows, "note")
+    expect = ["# note", "a,b,c,d"] + [",".join("%.17g" % v for v in row) for row in rows]
+    assert path.read_text() == "\n".join(expect) + "\n"
+    assert {"-0", "0"} <= {line.split(",")[2] for line in expect[2:]}
+
+
 @pytest.mark.parametrize("comment", ["two\nlines", "trailing\n", "carriage\rreturn"])
 def test_multiline_csv_comment_rejected(tmp_path, comment):
     profile = SpatialProfile(Grid1D(3), np.zeros((3, 1)))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fastslow import pde, redim, steady
 from fastslow.core import ReactionDiffusionModel, eval_source
@@ -287,6 +287,64 @@ def test_difference_matrix_range_test_matches_membership(m, order, s):
     got, ref = difference_matrix(m, 0.3, order, s), _isin_difference_matrix(m, 0.3, order, s)
     assert got.keys() == ref.keys()
     assert all(np.array_equal(got[k], ref[k]) for k in ref)
+
+
+def _matrix(diagonals, m):
+    """The ``m x m`` matrix of ``{k: c}``, ``c[i]`` at row ``i``, column ``i + k``."""
+    A = np.zeros((m, m))
+    for k, c in diagonals.items():
+        i = np.arange(max(-k, 0), m - max(k, 0))
+        A[i, i + k] = c[i]
+    return A
+
+
+@settings(max_examples=60, deadline=None)
+@given(n0=st.integers(4, 9), n1=st.integers(1, 7), seed=st.integers(0, 2 ** 32 - 1),
+       terms=st.lists(st.tuples(st.integers(0, 2), st.booleans(), st.integers(0, 2),
+                                st.booleans(),
+                                st.sampled_from(["dense", "scalar", "column", "full"])),
+                      min_size=1, max_size=4))
+def test_band_assembler_matches_a_dense_oracle(n0, n1, seed, terms):
+    """Every band entry (rows ``bw:`` of the LAPACK storage) equals the dense
+    ``sum_a kron(e_a e_a^T P, W_a)`` to float32 rounding, and the dense
+    matrix is zero outside the band.  Terms are difference matrices of
+    order 0-2 on the slices ``[:]`` and ``[1:-1]``, with dense node blocks
+    or a weighted stencil (also of any order, on either slice) whose weight
+    is a scalar, ``(n0, 1)`` or ``(n0, n1)``.  The band is assembled twice,
+    with NaN written into the rows left to gbsv in between: the second
+    call is exact as well."""
+    rng = np.random.default_rng(seed)
+    built, J, scale = [], np.zeros((n0 * n1, n0 * n1)), np.zeros((n0 * n1, n0 * n1))
+    for order, interior, stencil_order, stencil_interior, kind in terms:
+        s = np.s_[1:-1] if interior else np.s_[:]
+        P = difference_matrix(n0 + 2 * interior, 0.3, order, s)
+        if kind == "dense":
+            W, w = None, rng.standard_normal((n0, n1, n1))
+            blocks = w
+        else:
+            W = difference_matrix(n1 + 2 * stencil_interior, 0.7, stencil_order,
+                                  np.s_[1:-1] if stencil_interior else np.s_[:])
+            assume(W)  # a first difference on one interior node is empty
+            w = {"scalar": rng.standard_normal(), "column": rng.standard_normal((n0, 1)),
+                 "full": rng.standard_normal((n0, n1))}[kind]
+            w_rows = np.broadcast_to(w, (n0, n1))
+            blocks = [w_rows[a][:, None] * _matrix(W, n1) for a in range(n0)]
+        built.append(((P, W), w))
+        for a in range(n0):
+            row = np.zeros((n0, n0))
+            row[a] = _matrix(P, n0)[a]
+            J += np.kron(row, blocks[a])
+            scale += np.abs(np.kron(row, blocks[a]))
+    assemble = band_assembler((n0, n1), [t for t, _ in built])
+    r, c = np.indices(J.shape)
+    for _ in range(2):
+        bw, ab = assemble([w for _, w in built])
+        inside = np.abs(r - c) <= bw
+        assert not J[~inside].any()
+        got = ab[bw:][(bw + r - c)[inside], c[inside]].astype(float)
+        err = np.abs(got - J[inside])
+        assert (err <= 4.0 * np.finfo(np.float32).eps * scale[inside]).all(), err.max()
+        ab[:bw] = np.nan  # gbsv's fill-in rows: no assembly may read them
 
 
 def test_singular_step_matrix_carries_residual():
