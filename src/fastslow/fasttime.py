@@ -161,12 +161,17 @@ def _measure(dec, model, y, track, dt, max_time, terms, solver):
     One ARS(2,2,2) step: ``terms(Y)`` gives the explicit source ``f(Y)`` and
     the transport ``L Y``, and ``solver(dt)`` the implicit-stage solve
     ``b -> (I - GAMMA dt L)^(-1) b``; the tracked state is ``y[track]``.
-    Without transport (the ODE) ``solver`` and ``track`` are None: ``y`` is
-    the tracked state, ``terms`` gives the transport None, and the step
-    skips the implicit stages (the identity), the transport and its K
-    sample.  The terms of each new state serve three uses: the entry test
-    of the tracked state, a K sample if it has not entered, and the first
-    stage of the next step.  The default ``dt`` is :func:`_default_dt`.
+    The two arrays of a ``terms`` call must stay valid through the next
+    call, as a step's two sets of terms are used side by side.  Without
+    transport (the ODE) ``terms``, ``solver`` and ``track`` are None: ``y``
+    is the tracked state, the step calls ``model.source`` itself and skips
+    the implicit stages (the identity), the transport and its K sample,
+    and its two stage sums are formed on the Python floats of the state
+    and its rates, in the operations and order of the array expressions,
+    so with the same values at a fraction of the cost on 3 species.  The
+    terms of each new state serve three uses: the entry test of the
+    tracked state, a K sample if it has not entered, and the first stage
+    of the next step.  The default ``dt`` is :func:`_default_dt`.
     A step that leaves ``y`` non-finite raises DivergenceError.  The PDE
     tests ``y`` at every step, as it tracks one node.  The ODE tests it
     only once the path length is non-finite: under IEEE arithmetic a
@@ -186,27 +191,36 @@ def _measure(dec, model, y, track, dt, max_time, terms, solver):
     _check_step(dec, dt, max_time)
     if solver is not None:
         solve = solver(dt)
-    gamma_dt, transport_dt, rest = GAMMA * dt, (1.0 - GAMMA) * dt, 1.0 - DELTA
+    source, Zt_f, fast_rate = model.source, dec.Zt_f, dec.fast_rate
+    # Python floats, for the ODE's stage sums
+    h, gamma_dt, delta, rest = float(dt), float(GAMMA * dt), float(DELTA), float(1.0 - DELTA)
+    transport_dt = (1.0 - GAMMA) * dt
     t = K = path = 0.0
     steps = 0
-    U0 = U_prev = dec.Zt_f @ z0
+    U0 = U_prev = Zt_f @ z0
     # an unstable step overflows; the finiteness check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        F1, L1 = terms(y)
+        if solver is None:
+            F1, v = source(y), y.tolist()
+        else:
+            F1, L1 = terms(y)
         while True:
             if t > max_time:
                 raise ConvergenceError(
                     f"tracked state did not enter the slow neighborhood by t = {max_time:g}"
                 )
             if solver is None:
-                y = z = y + dt * (DELTA * F1 + rest * terms(y + gamma_dt * F1)[0])
+                f1 = F1.tolist()
+                f2 = source(np.array([a + gamma_dt * f for a, f in zip(v, f1)])).tolist()
+                v = [a + h * (delta * p + rest * q) for a, p, q in zip(v, f1, f2)]
+                y = z = np.array(v)
             else:
                 K = max(K, _transport_ratio_max(dec, F1, L1))
                 F2, L2 = terms(solve(y + gamma_dt * F1))
-                y = solve(y + dt * (DELTA * F1 + rest * F2) + transport_dt * L2)
+                y = solve(y + h * (delta * F1 + rest * F2) + transport_dt * L2)
                 z = y[track]
             steps += 1
-            U = dec.Zt_f @ z
+            U = Zt_f @ z
             dU = U - U_prev
             path += math.sqrt(dU @ dU)  # np.linalg.norm's formula for a real vector
             # the ODE tracks all of y: a non-finite y makes path non-finite
@@ -214,9 +228,13 @@ def _measure(dec, model, y, track, dt, max_time, terms, solver):
                 raise DivergenceError(
                     f"transient became non-finite by t = {t + dt:g} (dt = {dt:g})")
             U_prev = U
-            F1, L1 = terms(y)
-            gf = dec.Zt_f @ (F1 if track is None else F1[track])
-            g_new = math.sqrt(gf @ gf) / dec.fast_rate
+            if solver is None:
+                F1 = source(y)
+                gf = Zt_f @ F1
+            else:
+                F1, L1 = terms(y)
+                gf = Zt_f @ F1[track]
+            g_new = math.sqrt(gf @ gf) / fast_rate
             if g_new < threshold:
                 break
             g = g_new
@@ -248,7 +266,7 @@ def measure_fast_time_ode(dec: GqlDecomposition, model: ReactionDiffusionModel,
     """Integrate dz/dt = phi(z) and time the entry into the slow neighborhood:
     the PDE measurement on one node without transport."""
     return _measure(dec, model, as_state(z0, model.dimension), None, dt, max_time,
-                    lambda y: (model.source(y), None), None)
+                    None, None)
 
 
 def _transport_ratio_max(dec, source, transport):
@@ -258,11 +276,11 @@ def _transport_ratio_max(dec, source, transport):
     source, such as a held end row, never lies outside."""
     Lf = transport @ dec.Zt_f.T
     gf = source @ dec.Zt_f.T
-    gn = np.linalg.norm(gf, axis=1)
+    gn = np.sqrt(np.add.reduce(gf * gf, axis=1))  # np.linalg.norm(gf, axis=1)
     outside = gn / dec.fast_rate >= np.sqrt(dec.epsilon)
     if not outside.any():
         return 0.0
-    Ln = np.linalg.norm(Lf, axis=1)
+    Ln = np.sqrt(np.add.reduce(Lf * Lf, axis=1))
     return float((Ln[outside] / gn[outside]).max())
 
 
@@ -284,9 +302,14 @@ def measure_fast_time_pde(dec: GqlDecomposition, model: ReactionDiffusionModel,
     states = linear_initial_profile(bc.left_state, bc.right_state, grid).states
     dx = grid.spacing
 
+    # two (F, L) buffers in turn, so that a step's two sets of terms can
+    # live side by side; the held end rows get neither source nor
+    # transport, and stay zero
+    buffers = [np.zeros((2,) + states.shape) for _ in range(2)]
+
     def terms(S):
-        # the held end rows get neither source nor transport
-        F, L = np.zeros((2,) + S.shape)
+        buffers.reverse()
+        F, L = buffers[0]
         F[1:-1], L[1:-1] = interior_terms(model, S, dx)
         return F, L
 

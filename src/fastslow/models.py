@@ -100,19 +100,25 @@ def _jacobian_rows(p, X, Y, Z):
 
 def _unpack(z):
     """The species of ``z`` and its leading shape: Python floats for one
-    state, so a kernel call costs a few microseconds, else arrays over the
-    stack in the transposed layout of ``z.T``, whose dozens of array
-    operations cost several times that even on one row."""
+    state (``z.tolist()``, or its one row's), so a kernel call costs about a
+    microsecond, else arrays over the stack in the transposed layout of
+    ``z.T``, whose dozens of array operations cost several times that even
+    on one row.  A state of any other length than 3 raises ValueError."""
     z = np.asarray(z, dtype=float)
     stack = z.shape[:-1]
-    return (z.reshape(3).tolist() if stack in ((), (1,)) else z.T), stack
+    if stack == ():
+        return z.tolist(), stack
+    return (z[0].tolist() if stack == (1,) else z.T), stack
 
 
 def _pack(values, stack, shape):
     """A new ``stack + shape`` array holding ``values``, an iterable of the
-    entries of each ``shape`` block in C order, as :func:`_unpack` gave them."""
+    entries of each ``shape`` block in C order, as :func:`_unpack` gave them.
+    One state's rates, a tuple of floats, become the ``(3,)`` block as they
+    stand, and a ``(1,)`` stack is a new axis on that block."""
     if stack in ((), (1,)):
-        return np.array(tuple(values)).reshape(stack + shape)
+        out = np.array(values) if len(shape) == 1 else np.array([*values]).reshape(shape)
+        return out[None] if stack else out
     out = np.empty(stack + shape)
     entries = out.reshape(stack + (math.prod(shape),)).T
     for k, v in enumerate(values):

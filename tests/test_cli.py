@@ -395,16 +395,22 @@ def test_fast_time_overflowing_start_exits_3_with_one_error_line(tmp_path, capsy
     assert not out.exists()
 
 
-@pytest.mark.parametrize("extra", [{"model_params": {"delta": 1e300}},
-                                   {"fasttime_start": [-1e300, 1e8, 1e8]}],
-                         ids=["huge-delta", "huge-start"])
-def test_steady_overflow_exits_3_with_one_error_line(tmp_path, capsys, extra):
-    """A band or right-hand side past float32's range ends the profile's
-    solve in one ``error:`` line and exit 3, with no numpy warning."""
-    assert main(["pipeline", "--config", _write_config(tmp_path, extra),
-                 "--out-dir", str(tmp_path / "out")]) == 3
+@pytest.mark.parametrize("extra, argv, stage", [
+    ({"model_params": {"delta": 1e300}}, ["pipeline"], "[stage pde] "),
+    ({"fasttime_start": [-1e300, 1e8, 1e8]}, ["pipeline"], "[stage pde] "),
+    ({"redim_grad": "const:1e200"}, ["pipeline"], "[stage redim-1d] "),
+    ({}, ["redim", "--dim", "2", "--grad", "const:1e200"], ""),
+], ids=["huge-delta", "huge-start", "huge-grad-redim1d", "huge-grad-redim2d"])
+def test_steady_overflow_exits_3_with_one_error_line(tmp_path, capsys, extra, argv, stage):
+    """A band or right-hand side past float32's range, or a REDIM rate that
+    overflows (a closure gradient of 1e200 squares past the double range),
+    ends its steady solve in one ``error:`` line and exit 3, with no numpy
+    warning."""
+    out = ["--out", str(tmp_path / "r.csv")] if argv[0] == "redim" else [
+        "--out-dir", str(tmp_path / "out")]
+    assert main(argv + ["--config", _write_config(tmp_path, extra)] + out) == 3
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("error: [stage pde] non-finite")
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {stage}non-finite")
     assert "Warning" not in err
 
 

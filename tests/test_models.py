@@ -59,7 +59,9 @@ BOX_STATE = st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 1.0), st.floats(0.0, 1
 def test_kernels_are_shape_invariant(z, k, m, seed, data):
     """One code path for every leading shape: a state alone, as a (1, 3) row
     and inside a (k, m, 3) stack of other working-box states gives the same
-    source and Jacobian bit for bit."""
+    source and Jacobian bit for bit.  A one-state result is a new float64
+    array, never shared with another call's, and a state of 2 or 4
+    species raises ValueError on every path."""
     p = MichaelisMentenParams()
     z = np.array(z)
     stack = np.random.default_rng(seed).uniform([0.0, 0.0, 0.0], [2.0, 1.0, 1.0],
@@ -72,6 +74,15 @@ def test_kernels_are_shape_invariant(z, k, m, seed, data):
         assert single.shape == shape
         assert np.array_equal(kernel(p, z[None]), single[None])
         assert np.array_equal(kernel(p, stack)[i, j], single)
+        for state in (z, z[None]):
+            first, second = kernel(p, state), kernel(p, state)
+            assert first.dtype == np.float64 and first.flags.writeable
+            assert not np.shares_memory(first, second)
+            assert not np.shares_memory(first, state)
+        for wrong in (z[:2], np.append(z, 0.5)):
+            for state in (wrong, wrong[None], np.stack([wrong] * k)):
+                with pytest.raises(ValueError):
+                    kernel(p, state)
 
 
 def test_equilibrium_default():

@@ -11,8 +11,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 from fastslow import pde, redim, steady
 from fastslow.core import ReactionDiffusionModel, eval_source
 from fastslow.errors import ContractViolationError, ConvergenceError, DivergenceError
-from fastslow.gql import default_slow_grid
-from fastslow.models import MichaelisMentenParams, equilibrium, michaelis_menten_model
+from fastslow.gql import default_slow_grid, spectral_split
+from fastslow.models import (
+    MichaelisMentenParams,
+    equilibrium,
+    linear_model,
+    michaelis_menten_model,
+)
 from fastslow.pde import BoundaryConditions, SolverSettings, integrate_to_steady
 from fastslow.redim import constant_gradient, evolve_redim_1d, evolve_redim_2d
 from fastslow.steady import (
@@ -522,3 +527,91 @@ def test_block_line_search_matches_the_sequential_one(problem, mm_model, mm_dec,
     for got, want in zip((z, converged, singular, residual), ref):
         assert np.array_equal(got, want)
     assert converged.any() and singular.any() and (~converged & ~singular).any()
+
+
+# one-by-one pivots and right-hand sides at the edges of the double range
+EDGES = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+         1e-310, 1e-300, -1e-300, 1e300, -1e300, np.finfo(float).max, 1.0, -3.0)
+EDGE_FLOATS = st.sampled_from(EDGES) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+def _bits(x):
+    """Bit patterns, every NaN as one: LAPACK and a division may set a NaN's
+    sign bit differently, and a NaN step freezes its row either way."""
+    x = np.array(x, dtype=float)
+    x[np.isnan(x)] = np.nan
+    return x.view(np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(EDGE_FLOATS, EDGE_FLOATS), min_size=1, max_size=9))
+@example(pairs=list(itertools.product(EDGES, EDGES)))
+@example(pairs=[(a, 1.0) for a in EDGES if a != 0.0])
+def test_one_by_one_steps_divide_as_lapack_solves(pairs):
+    """The 1 x 1 reduced step of an n_f = 1 split is a division: bit for bit
+    what ``np.linalg.solve`` gives, with no warning (the test's warnings are
+    errors), and the same rows flagged singular as LAPACK flags them one
+    matrix at a time, exactly the zero pivots."""
+    A = np.array([a for a, _ in pairs]).reshape(-1, 1, 1)
+    b = np.array([c for _, c in pairs]).reshape(-1, 1)
+    want, want_ok = [], []
+    for Ai, bi in zip(A, b):
+        try:
+            want.append(np.linalg.solve(Ai, bi))
+            want_ok.append(True)
+        except np.linalg.LinAlgError:
+            want.append([np.nan])
+            want_ok.append(False)
+    assert want_ok == (A[:, 0, 0] != 0.0).tolist()
+    x, ok = steady._solve_rows(A, b)
+    assert ok.tolist() == want_ok
+    assert np.array_equal(_bits(x), _bits(want))
+    if all(want_ok):
+        assert np.array_equal(_bits(steady._solve(A, b)),
+                              _bits(np.linalg.solve(A, b[..., None])[..., 0]))
+    else:
+        with pytest.raises(np.linalg.LinAlgError):
+            steady._solve(A, b)
+
+
+def _counting_solve(monkeypatch):
+    """Replace ``np.linalg.solve`` by a wrapper that records the shape of
+    every stack it solves."""
+    shapes, solve = [], np.linalg.solve
+
+    def counted(A, b):
+        shapes.append(np.shape(A))
+        return solve(A, b)
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return shapes
+
+
+def test_fast_pairs_still_go_through_lapack(monkeypatch):
+    """An n_f = 2 split (the linear model with rates 1e-3, 1 and 1000) takes
+    its 2 x 2 reduced steps through ``np.linalg.solve`` and lands on the
+    exact fast coordinates in one Newton step."""
+    A = np.diag([-1e-3, -1.0, -1000.0])
+    z_star = np.array([0.1, 0.2, 0.3])
+    model, dec = linear_model(A, z_star), spectral_split(A)
+    assert (dec.n_s, dec.n_f) == (1, 2)
+    V = np.linspace(-1.0, 1.0, 7)[:, None]
+    args = (model.source, model.jacobian, dec.Zt_f, dec.Z_f, V @ dec.Z_s.T,
+            np.array([5.0, -3.0]), 1e-12, 20)
+    shapes = _counting_solve(monkeypatch)
+    z, converged, singular, residual = damped_newton(*args)
+    assert shapes == [(7, 2, 2)]
+    assert converged.all() and not singular.any() and (residual < 1e-12).all()
+    assert np.allclose(z @ dec.Zt_f.T, dec.Zt_f @ z_star, rtol=0.0, atol=1e-14)
+
+
+def test_one_fast_rate_never_calls_lapack(monkeypatch, mm_model, mm_dec, mm_eq):
+    """The enzyme model's slow mesh (n_f = 1) divides every reduced step:
+    ``np.linalg.solve`` is never called."""
+    dec = mm_dec.value
+    assert dec.n_f == 1
+    V = default_slow_grid(dec, mm_model, 12)
+    shapes = _counting_solve(monkeypatch)
+    _, converged, _, _ = damped_newton(
+        lambda z: eval_source(mm_model, z), mm_model.jacobian, dec.Zt_f, dec.Z_f,
+        V @ dec.Z_s.T, dec.Zt_f @ mm_eq.value, 1e-10, 60)
+    assert shapes == [] and converged.any()
