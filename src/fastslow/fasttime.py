@@ -37,8 +37,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
+from . import _lapack
 from .core import (
     Grid1D,
     ReactionDiffusionModel,
@@ -142,14 +142,14 @@ def _diffusion_solver(diffusion, node_count: int, dx: float, dt: float):
     n, m = a.shape[0], node_count - 2
     off = np.repeat(-a, m)
     off[m - 1::m] = 0.0
-    factors = sla.lapack.dgttrf(off[:-1], np.repeat(1.0 + 2.0 * a, m), off[:-1])[:5]
+    factors = _lapack.dgttrf(off[:-1], np.repeat(1.0 + 2.0 * a, m), off[:-1])[:5]
 
     def solve(b):
         rhs = b[1:-1].T.copy()  # species after species, as the systems are stacked
         rhs[:, 0] += a * b[0]
         rhs[:, -1] += a * b[-1]
         x = b.copy()
-        x[1:-1] = sla.lapack.dgttrs(*factors, rhs.ravel(), overwrite_b=True)[0].reshape(n, m).T
+        x[1:-1] = _lapack.dgttrs(*factors, rhs.ravel(), overwrite_b=True)[0].reshape(n, m).T
         return x
     return solve
 

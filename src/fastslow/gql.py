@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
+from . import _lapack
 from .core import ReactionDiffusionModel, eval_source
 from .errors import (
     ContractViolationError,
@@ -180,15 +180,13 @@ def spectral_split(T, min_gap_ratio: float = 10.0) -> GqlDecomposition:
 
     # geometric-mean magnitude separates the two groups
     thresh = float(np.sqrt(mags[split - 1] * mags[split]))
-    R, Q, sdim = sla.schur(
-        T, output="real", sort=lambda re, im: np.hypot(re, im) > thresh
-    )
+    R, Q, sdim = _lapack.real_schur(T, lambda re, im: np.hypot(re, im) > thresh)
     if sdim != n_f:
         raise SplitConflictError(
             f"Schur ordering selected {sdim} fast eigenvalues, expected {n_f}"
         )
     R11, R12, R22 = R[:n_f, :n_f], R[:n_f, n_f:], R[n_f:, n_f:]
-    X = sla.solve_sylvester(R11, -R22, -R12)
+    X = _lapack.solve_sylvester(R11, -R22, -R12)
     W = np.eye(n)
     W[:n_f, n_f:] = X
     W_inv = np.eye(n)

@@ -36,9 +36,9 @@ solved row by row in one batched damped Newton (:func:`damped_newton`).
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 from numpy.lib.stride_tricks import as_strided
 
+from . import _lapack
 from .errors import ContractViolationError, ConvergenceError, DivergenceError
 
 __all__ = ["band_assembler", "damped_newton", "difference_matrix", "relax_free"]
@@ -185,7 +185,7 @@ def relax_free(rate, initial, free, tol):
                 F = R.ravel().astype(np.float32)
                 ab[bw:] *= -1.0  # rows :bw are gbsv's own
                 ab[2 * bw] += 1.0 / dtau
-                _, _, d, info = sla.lapack.sgbsv(bw, bw, ab, F, overwrite_ab=True)
+                _, _, d, info = _lapack.sgbsv(bw, bw, ab, F, overwrite_ab=True)
                 if info > 0:
                     failure = ConvergenceError(f"singular step matrix at pseudo-time {tau:g}",
                                                residual=residual)
