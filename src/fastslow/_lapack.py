@@ -13,11 +13,6 @@ modules write ``from scipy.linalg import _flapack``) finds this module object
 and does not initialise it again, and an earlier one is reused here.  Where
 the file is not found, or does not load on its own, the ordinary import is
 taken.
-
-:func:`real_schur` and :func:`solve_sylvester` make exactly the LAPACK calls
-of ``scipy.linalg.schur(a, output="real", sort=select)`` and
-``scipy.linalg.solve_sylvester``, raise the same errors, and so return the
-same bits.
 """
 
 from __future__ import annotations
@@ -26,8 +21,6 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-
-import numpy as np
 
 _NAME = "scipy.linalg._flapack"
 
@@ -72,42 +65,3 @@ dgttrf = _flapack.dgttrf
 dgttrs = _flapack.dgttrs
 dgees = _flapack.dgees
 dtrsyl = _flapack.dtrsyl
-
-
-def _unsorted(re, im=None):  # never called: sort_t = 0
-    return None
-
-
-def real_schur(a, select=None):
-    """``scipy.linalg.schur(a, output="real", sort=select)`` for a float64
-    square matrix: ``(T, Z, sdim)``, with ``sdim = 0`` when ``select`` is None.
-
-    ``select(re, im)`` marks the eigenvalues to lead.  A workspace query comes
-    first, then the factorisation, as in scipy.
-    """
-    a = np.asarray_chkfinite(a)
-    lwork = dgees(_unsorted, a, lwork=-1)[-2][0].real.astype(np.int_)
-    result = dgees(select or _unsorted, a, lwork=lwork, sort_t=int(select is not None))
-    info, n = result[-1], a.shape[0]
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal gees")
-    if info == n + 1:
-        raise np.linalg.LinAlgError("Eigenvalues could not be separated for reordering.")
-    if info == n + 2:
-        raise np.linalg.LinAlgError("Leading eigenvalues do not satisfy sort condition.")
-    if info > 0:
-        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
-    return result[0], result[-3], result[1]
-
-
-def solve_sylvester(a, b, q):
-    """``X`` with ``a X + X b = q``, as ``scipy.linalg.solve_sylvester``
-    (Bartels-Stewart) computes it for float64 matrices."""
-    r, u, _ = real_schur(a)
-    s, v, _ = real_schur(b.T)
-    f = np.dot(np.dot(u.T, q), v)
-    y, scale, info = dtrsyl(r, s, f, tranb="C")
-    y = scale * y
-    if info < 0:
-        raise np.linalg.LinAlgError(f"Illegal value encountered in the {-info} term")
-    return np.dot(np.dot(u, y), v.T)

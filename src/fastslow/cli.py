@@ -32,6 +32,7 @@ from .errors import (
     DecompositionError,
     FastSlowError,
     NumericalError,
+    ParametrizationError,
 )
 from .fasttime import measure_fast_time_ode, measure_fast_time_pde
 from .gql import (
@@ -115,13 +116,18 @@ class RunConfig:
                               f"species, got {len(start)}")
         if self.redim_grad != "profile" and _constant(self.redim_grad) is None:
             try:
-                species = read_profile_csv(self.redim_grad).states.shape[1]
+                profile = read_profile_csv(self.redim_grad)
             except (OSError, ContractViolationError) as exc:
                 raise ConfigError(f"redim_grad must be 'profile', 'const:<finite value>' "
                                   f"or a profile CSV path: {exc}") from exc
+            species = profile.states.shape[1]
             if species != dimension:
                 raise ConfigError(f"redim_grad profile CSV holds {species} species, the "
                                   f"model {dimension}")
+            try:  # the 2-D closure reads all the 1-D one does, and Y
+                gradient_estimate_from_profile(profile, "2d")
+            except (ContractViolationError, ParametrizationError) as exc:
+                raise ConfigError(f"redim_grad profile CSV gives no closure: {exc}") from exc
 
 
 def _check_int(key, value, least) -> None:

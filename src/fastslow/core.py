@@ -205,7 +205,9 @@ def write_profile_csv(path, profile: SpatialProfile, species, comment: str = "")
 
 
 def read_profile_csv(path) -> SpatialProfile:
-    """Read a profile CSV written by :func:`write_profile_csv`."""
+    """Read a profile CSV written by :func:`write_profile_csv`; a file that
+    does not hold at least 3 rows of finite numbers raises
+    :class:`ContractViolationError`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [line.strip() for line in fh]
@@ -215,4 +217,6 @@ def read_profile_csv(path) -> SpatialProfile:
         raise ContractViolationError(f"profile CSV {path} is malformed: {exc}") from exc
     if data.ndim != 2 or data.shape[0] < 3:
         raise ContractViolationError(f"profile CSV {path} is malformed")
+    if not np.isfinite(data).all():
+        raise ContractViolationError(f"profile CSV {path} is malformed: a cell is not finite")
     return SpatialProfile(Grid1D(data.shape[0]), data[:, 1:])

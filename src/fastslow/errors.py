@@ -52,7 +52,10 @@ class NoDecompositionError(DecompositionError):
 
 
 class SplitConflictError(DecompositionError):
-    """A complex-conjugate eigenvalue pair straddles the proposed split."""
+    """The ordered Schur form cannot realise the proposed split: LAPACK's
+    reordering failed, or it put another number of eigenvalues in the fast
+    cluster than the magnitude gap did (a complex-conjugate pair straddling
+    the split, or an eigenvalue too ill-conditioned to place)."""
 
 
 class SingularJacobianError(DecompositionError):

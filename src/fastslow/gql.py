@@ -3,9 +3,10 @@ fast/slow coordinate machinery.
 
 The surrogate ``T`` is a global linear fit ``T psi ~ F(psi)`` over a sample
 set.  Splitting its spectrum at the largest consecutive magnitude gap yields
-invariant fast and slow subspaces; these are computed from an ordered real
-Schur form followed by a Sylvester solve so the basis stays real and well
-conditioned even for complex or clustered eigenvalues.  Everything downstream
+invariant fast and slow subspaces; these are computed from one ordered real
+Schur form (LAPACK ``dgees``), decoupled by one triangular Sylvester solve
+(``dtrsyl``) on its own blocks, so the basis stays real and well conditioned
+even for complex or clustered eigenvalues.  Everything downstream
 (zero-order slow manifold, decomposed dynamics, transient diagnostics) hangs
 off the resulting :class:`GqlDecomposition`.
 """
@@ -146,15 +147,23 @@ def spectral_split(T, min_gap_ratio: float = 10.0) -> GqlDecomposition:
     Eigenvalues are sorted ascending by magnitude and the split is placed at
     the maximal ratio |lam_{i+1}| / |lam_i|; anything below ``min_gap_ratio``
     is rejected.  The invariant bases come from the ordered real Schur form
-    of T (fast cluster leading) block-diagonalized by a Sylvester solve, so
-    ``Zt_f T Z_s`` and ``Zt_s T Z_f`` vanish to rounding.
+    ``Q^T T Q = [[R11, R12], [0, R22]]`` (``dgees``, fast cluster leading),
+    block-diagonalized by ``X`` with ``R11 X - X R22 = -R12``, which
+    ``dtrsyl`` solves on the quasi-triangular blocks as they are, so
+    ``Zt_f T Z_s`` and ``Zt_s T Z_f`` vanish to rounding.  Four LAPACK calls
+    in all: the eigenvalues, a workspace query, the sorted Schur form and the
+    Sylvester solve.  A non-finite T raises :class:`ContractViolationError`;
+    a Schur reordering that fails or selects the wrong number of fast
+    eigenvalues raises :class:`SplitConflictError`.
     """
     T = np.array(T, dtype=float)
-    n = T.shape[0]
-    if T.ndim != 2 or T.shape[1] != n:
+    if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ContractViolationError("T must be square")
+    n = T.shape[0]
     if n < 2:
         raise ContractViolationError("need dimension >= 2 to split")
+    if not np.isfinite(T).all():
+        raise ContractViolationError("T must be finite")
     if not 1.0 < min_gap_ratio < np.inf:
         raise ContractViolationError(f"min_gap_ratio must be finite and > 1, "
                                      f"got {min_gap_ratio!r}")
@@ -164,7 +173,8 @@ def spectral_split(T, min_gap_ratio: float = 10.0) -> GqlDecomposition:
     mags = np.abs(lam)
     if mags[0] == 0.0:
         raise NoDecompositionError("surrogate has a zero eigenvalue; gap undefined")
-    ratios = mags[1:] / mags[:-1]
+    with np.errstate(over="ignore"):  # a ratio past the double range is an infinite gap
+        ratios = mags[1:] / mags[:-1]
     split = int(np.argmax(ratios)) + 1
     gap = float(ratios[split - 1])
     # a conjugate pair has bitwise equal magnitudes, a ratio of 1, so a gap
@@ -178,15 +188,24 @@ def spectral_split(T, min_gap_ratio: float = 10.0) -> GqlDecomposition:
     n_f = n - split
     epsilon = float(mags[split - 1] / mags[split])
 
-    # geometric-mean magnitude separates the two groups
-    thresh = float(np.sqrt(mags[split - 1] * mags[split]))
-    R, Q, sdim = _lapack.real_schur(T, lambda re, im: np.hypot(re, im) > thresh)
+    # geometric-mean magnitude separates the two groups; a product of roots,
+    # since the product of magnitudes near 1e-170 underflows to 0
+    thresh = float(np.sqrt(mags[split - 1]) * np.sqrt(mags[split]))
+
+    def fast(re, im):
+        return np.hypot(re, im) > thresh
+
+    lwork = int(_lapack.dgees(fast, T, lwork=-1)[-2][0])
+    R, sdim, _, _, Q, _, info = _lapack.dgees(fast, T, lwork=lwork, sort_t=1)
+    if info != 0:
+        raise SplitConflictError(f"ordered Schur form failed (dgees info {info})")
     if sdim != n_f:
         raise SplitConflictError(
             f"Schur ordering selected {sdim} fast eigenvalues, expected {n_f}"
         )
     R11, R12, R22 = R[:n_f, :n_f], R[:n_f, n_f:], R[n_f:, n_f:]
-    X = _lapack.solve_sylvester(R11, -R22, -R12)
+    X, scale, _ = _lapack.dtrsyl(R11, R22, -R12, isgn=-1)
+    X = X / scale  # scale < 1 only where dtrsyl avoids overflow
     W = np.eye(n)
     W[:n_f, n_f:] = X
     W_inv = np.eye(n)

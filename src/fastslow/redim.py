@@ -65,10 +65,13 @@ COARSEST = 31
 
 def pseudo_inverse(Psi_theta) -> np.ndarray:
     """Moore-Penrose pseudo-inverse (Psi^T Psi)^{-1} Psi^T of a tall full-rank
-    tangent matrix."""
+    tangent matrix.  A non-finite one raises :class:`ContractViolationError`,
+    a rank-deficient one :class:`DegenerateParametrizationError`."""
     P = np.array(Psi_theta, dtype=float)
     if P.ndim == 1:
         P = P[:, None]
+    if not np.isfinite(P).all():
+        raise ContractViolationError("tangent matrix must be finite")
     gram = P.T @ P
     if np.linalg.cond(gram) > GRAM_COND_LIMIT:
         raise DegenerateParametrizationError(
@@ -83,7 +86,7 @@ def tangent_projector(Psi_theta) -> np.ndarray:
     P = np.array(Psi_theta, dtype=float)
     if P.ndim == 1:
         P = P[:, None]
-    pseudo_inverse(P)  # raises DegenerateParametrizationError if P is rank deficient
+    pseudo_inverse(P)  # raises if P is non-finite or rank deficient
     Q = np.linalg.qr(P)[0]
     return np.eye(P.shape[0]) - Q @ Q.T
 
@@ -135,11 +138,13 @@ def gradient_estimate_from_profile(profile: SpatialProfile,
     """Derive chi from a detailed stationary profile via the map x -> X(x).
 
     Requires X strictly monotone along x; the derivative dX/dx (and dY/dx in
-    2-D mode) is taken by central differences on the x grid and re-indexed by
-    theta = X.
+    2-D mode, which needs a Y column) is taken by central differences on the
+    x grid and re-indexed by theta = X.
     """
     if parametrization not in ("1d", "2d"):
         raise ContractViolationError(f"unknown parametrization {parametrization!r}")
+    if parametrization == "2d" and profile.states.shape[1] < 2:
+        raise ContractViolationError("a 2-D gradient estimate needs a profile of 2 or more species")
     x = profile.grid.nodes
     X = profile.states[:, 0]
     dX = np.diff(X)

@@ -284,6 +284,45 @@ def test_redim_grad_from_the_pipeline_profile_csv(tmp_path):
         assert Path(from_csv[name]).read_bytes() == Path(paths[name]).read_bytes(), name
 
 
+CLOSURE_CSV = "x,X,Y,Z\n0,0.1,1,1\n0.5,0.2,2,1\n1,0.3,3,1\n"
+
+
+@pytest.mark.parametrize("old, new", [
+    ("0.5,0.2,", "0.5,nan,"), ("0.5,0.2,", "0.5,0.4,"), (",2,1\n", ",nan,1\n"),
+    (",2,1\n", ",2,inf\n"),
+], ids=["x-nan", "x-non-monotone", "y-nan", "z-inf"])
+def test_a_closure_csv_that_gives_no_closure_exits_2_before_any_stage(
+        tmp_path, monkeypatch, capsys, old, new):
+    """A ``redim_grad`` profile CSV with a non-finite cell, or whose X column
+    is not strictly monotone, is a config error: no stage runs and no
+    output directory is made."""
+    csv = tmp_path / "closure.csv"
+    csv.write_text(CLOSURE_CSV.replace(old, new))
+    for name in ("equilibrium", "run_gql", "integrate_to_steady"):
+        monkeypatch.setattr(cli, name, _no_stage)
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", _write_config(tmp_path, {"redim_grad": str(csv)}),
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "redim_grad" in err
+    assert not out.exists()
+
+
+def test_a_closure_csv_of_one_species_exits_2_before_any_stage(tmp_path, monkeypatch, capsys):
+    """On a one-species model a profile CSV has no Y column for the 2-D
+    closure."""
+    csv = tmp_path / "closure.csv"
+    csv.write_text("x,X\n0,0.1\n0.5,0.2\n1,0.3\n")
+    one = {"model": "linear", "model_params": {"A": [[-1.0]], "z_star": [1.0]},
+           "fasttime_start": [2.0], "redim_grad": str(csv)}
+    monkeypatch.setattr(cli, "integrate_to_steady", _no_stage)
+    assert main(["pde-solve", "--config", _write_config(tmp_path, one),
+                 "--out", str(tmp_path / "p.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "2 or more species" in err
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_subcommands_write_the_pipeline_artifacts(tmp_path):
     """Each subcommand writes its stage's pipeline artifact: equal after the
     provenance line, and the fast-time rows equal the pipeline's rows."""

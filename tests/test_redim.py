@@ -69,6 +69,15 @@ def test_pseudo_inverse_rank_deficient():
         pseudo_inverse(np.array([[1.0, 1.0], [2.0, 2.0], [0.5, 0.5]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("f", [pseudo_inverse, tangent_projector])
+def test_projector_algebra_rejects_non_finite_tangents(f, bad):
+    """Checked before the Gram condition number, whose SVD does not converge
+    on a NaN."""
+    with pytest.raises(ContractViolationError, match="finite"):
+        f(np.array([[1.0, 0.0], [bad, 1.0], [0.0, 0.0]]))
+
+
 def test_projector_axis_column():
     P = tangent_projector(np.array([1.0, 0.0, 0.0]))
     assert P == pytest.approx(np.diag([0.0, 1.0, 1.0]))
