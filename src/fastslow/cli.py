@@ -390,6 +390,11 @@ def cmd_pde_solve(config: RunConfig, args) -> int:
 
 def cmd_redim(config: RunConfig, args) -> int:
     model = build_model(config)
+    n = model.dimension
+    if (args.dim == 1 and n < 2) or (args.dim == 2 and n != 3):  # before any stage
+        need = "at least 2" if args.dim == 1 else "exactly 3"
+        raise ConfigError(f"the {args.dim}-D REDIM needs {need} species; "
+                          f"model {model.name} has {n}")
     bc = boundary_conditions(config, equilibrium(model, _default_guess(model)))
     profile = None
     if config.redim_grad == "profile":

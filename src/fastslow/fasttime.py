@@ -83,24 +83,28 @@ class FastTimeReport:
     dt: float
 
 
-def fast_residual_norm(dec: GqlDecomposition, model: ReactionDiffusionModel, z) -> float:
-    """Rate-normalized fast residual ghat(z), with ``g = Zt_f phi(z)``.
-
-    Where ``g . g`` fits in a float this is ``np.linalg.norm``'s
-    ``sqrt(g . g)``, bit for bit; where it overflows, the norm of ``g``
-    scaled by its largest magnitude, inf only where that norm is beyond the
-    float range.  No floating-point warning is raised either way.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = dec.Zt_f @ eval_source(model, z)
-        square = float(g @ g)
+def _norm(g) -> float:
+    """Euclidean norm of the vector ``g``: ``np.linalg.norm``'s
+    ``sqrt(g . g)``, bit for bit, where ``g . g`` fits in a float; where it
+    overflows, the norm of ``g`` scaled by its largest magnitude, inf only
+    where that norm is beyond the float range.  Both callers run it under
+    an ``np.errstate`` that ignores overflow and invalid values."""
+    square = float(g @ g)
     if square < math.inf:
-        return math.sqrt(square) / dec.fast_rate
+        return math.sqrt(square)
     scale = float(np.abs(g).max())
     if not scale < math.inf:
         return math.inf
     u = g / scale
-    return scale * math.sqrt(float(u @ u)) / dec.fast_rate
+    return scale * math.sqrt(float(u @ u))
+
+
+def fast_residual_norm(dec: GqlDecomposition, model: ReactionDiffusionModel, z) -> float:
+    """Rate-normalized fast residual ghat(z), with ``g = Zt_f phi(z)``: its
+    Euclidean norm as :func:`_norm` gives it, with no floating-point
+    warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _norm(dec.Zt_f @ eval_source(model, z)) / dec.fast_rate
 
 
 def slow_neighborhood_test(dec: GqlDecomposition, model: ReactionDiffusionModel, z) -> bool:
@@ -171,7 +175,17 @@ def _measure(dec, model, y, track, dt, max_time, terms, solver):
     so with the same values at a fraction of the cost on 3 species.  The
     terms of each new state serve three uses: the entry test of the
     tracked state, a K sample if it has not entered, and the first stage
-    of the next step.  The default ``dt`` is :func:`_default_dt`.
+    of the next step.  The ODE evaluates its start once, through
+    :func:`~fastslow.core.eval_source`, so a non-finite start still raises
+    ContractViolationError: that one array gives the start check's ghat
+    and step 1's first stage.  The PDE checks its tracked node with its own
+    single-state call, as a node's rates in a stack of nodes need not match
+    those of a single-state call bit for bit.  With one fast coordinate
+    the path increments and the entry test's ghat are taken on Python
+    floats, ``sqrt(d * d)``: a one-element dot product is one rounded
+    product, so these are the bits of the array norms they replace; the
+    projections ``Zt_f @ z`` stay numpy's.  The default ``dt`` is
+    :func:`_default_dt`.
     A step that leaves ``y`` non-finite raises DivergenceError.  The PDE
     tests ``y`` at every step, as it tracks one node.  The ODE tests it
     only once the path length is non-finite: under IEEE arithmetic a
@@ -180,8 +194,15 @@ def _measure(dec, model, y, track, dt, max_time, terms, solver):
     raises at the same step.
     """
     threshold = math.sqrt(dec.epsilon)
-    z0 = y if track is None else y[track]
-    g = fast_residual_norm(dec, model, z0)
+    source, Zt_f, fast_rate = model.source, dec.Zt_f, dec.fast_rate
+    if track is None:  # one evaluation: the start's check and step 1's first stage
+        z0 = y
+        with np.errstate(over="ignore", invalid="ignore"):
+            F1 = eval_source(model, y)
+            g = _norm(Zt_f @ F1) / fast_rate
+    else:
+        z0 = y[track]
+        g = fast_residual_norm(dec, model, z0)
     if g < threshold:
         raise ContractViolationError("the start state already lies in the slow neighborhood")
     if dt is None:
@@ -191,17 +212,30 @@ def _measure(dec, model, y, track, dt, max_time, terms, solver):
     _check_step(dec, dt, max_time)
     if solver is not None:
         solve = solver(dt)
-    source, Zt_f, fast_rate = model.source, dec.Zt_f, dec.fast_rate
     # Python floats, for the ODE's stage sums
     h, gamma_dt, delta, rest = float(dt), float(GAMMA * dt), float(DELTA), float(1.0 - DELTA)
     transport_dt = (1.0 - GAMMA) * dt
     t = K = path = 0.0
     steps = 0
-    U0 = U_prev = Zt_f @ z0
+    U0 = Zt_f @ z0
+    if U0.size == 1:  # one fast coordinate: its norms on Python floats
+        def coordinate(v):
+            return (Zt_f @ v).item()
+
+        def size(d):
+            return math.sqrt(d * d)
+        U_prev = U0.item()
+    else:
+        def coordinate(v):
+            return Zt_f @ v
+
+        def size(d):
+            return math.sqrt(d @ d)  # np.linalg.norm's formula for a real vector
+        U_prev = U0
     # an unstable step overflows; the finiteness check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         if solver is None:
-            F1, v = source(y), y.tolist()
+            v = y.tolist()
         else:
             F1, L1 = terms(y)
         while True:
@@ -220,9 +254,8 @@ def _measure(dec, model, y, track, dt, max_time, terms, solver):
                 y = solve(y + h * (delta * F1 + rest * F2) + transport_dt * L2)
                 z = y[track]
             steps += 1
-            U = Zt_f @ z
-            dU = U - U_prev
-            path += math.sqrt(dU @ dU)  # np.linalg.norm's formula for a real vector
+            U = coordinate(z)
+            path += size(U - U_prev)
             # the ODE tracks all of y: a non-finite y makes path non-finite
             if (solver is not None or not path < math.inf) and not np.isfinite(y).all():
                 raise DivergenceError(
@@ -230,11 +263,10 @@ def _measure(dec, model, y, track, dt, max_time, terms, solver):
             U_prev = U
             if solver is None:
                 F1 = source(y)
-                gf = Zt_f @ F1
+                g_new = size(coordinate(F1)) / fast_rate
             else:
                 F1, L1 = terms(y)
-                gf = Zt_f @ F1[track]
-            g_new = math.sqrt(gf @ gf) / fast_rate
+                g_new = size(coordinate(F1[track])) / fast_rate
             if g_new < threshold:
                 break
             g = g_new

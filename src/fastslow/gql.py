@@ -263,11 +263,15 @@ def solve_on_fiber(dec: GqlDecomposition, model: ReactionDiffusionModel, V,
 
     Returns ``(z, converged)``.  This is the batched fibre Newton of
     :func:`slow_manifold_mesh` on one row, at most ``FIBER_MAX_ITER`` (60)
-    iterations: a step of the reduced Jacobian ``Zt_f J(z) Z_f`` that does
-    not lower the residual tries ``2**-1`` .. ``2**-16``, the damping floor
-    of :func:`damped_newton`, in one source call; a fibre no length
-    improves returns unconverged.  The 129 fast-time anchors measured took
-    full steps only.  Raises
+    iterations.  The row takes its full steps on its own arrays, with no
+    row indices and, for one fast coordinate, the 1 x 1 step divided on
+    Python floats; a step of the reduced Jacobian ``Zt_f J(z) Z_f`` that
+    does not lower the residual is handed to the stacked iteration, which
+    tries ``2**-1`` .. ``2**-16``, the damping floor of
+    :func:`damped_newton`, in one source call; a fibre no length improves
+    returns unconverged.  The row makes the same source calls, on the same
+    states, as the stacked iteration would.  The 129 fast-time anchors
+    measured took full steps only.  Raises
     :class:`SingularJacobianError` when the reduced Jacobian is singular,
     and :class:`ContractViolationError` when ``tol`` is not finite and
     positive.

@@ -302,6 +302,10 @@ def evolve_redim_1d(model: ReactionDiffusionModel, anchors, M: int = 101,
     first step that ends at or above the line's residual
     (:func:`~fastslow.steady.relax_free`).
     """
+    if model.dimension < 2:
+        raise ContractViolationError(
+            f"the 1-D REDIM is a graph of species 2 .. n over species 1, so needs "
+            f"2 or more species; model has {model.dimension}")
     left = as_state(anchors[0], model.dimension)
     right = as_state(anchors[1], model.dimension)
     if left[0] == right[0]:

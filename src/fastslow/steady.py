@@ -244,6 +244,51 @@ def _solve_rows(A, b):
     return np.concatenate([x1, x2]), np.concatenate([ok1, ok2])
 
 
+def _full_steps(phi, jacobian, P, B, offset, U, z, g, tol, max_iter):
+    """The full steps of :func:`damped_newton`'s one row from ``(U, z, g)``,
+    in the stacked loop's operations and order, on the ``(1, .)`` arrays:
+    its residual is compared as a Python float, and no row index is kept.
+
+    A 1 x 1 reduced Jacobian is divided on Python floats: the same IEEE
+    division as :func:`_solve`'s, a zero pivot its only singular case, and
+    no numpy warning to silence.  Larger ones go through :func:`_solve`.
+    The row stops at convergence, at a singular reduced Jacobian, or at a
+    full step that does not lower its residual.  Returns ``(U, z, g,
+    gnorm, singular, trial, left)``: the iterate, its residual as a
+    ``(1,)`` array, whether the Jacobian was singular, ``trial``, None or
+    that rejected step as ``(dU, U_new, z_new, g_new, gnorm_new)`` arrays,
+    and the iterations left to the stacked loop, the first of which tries
+    the trial's shorter lengths (0 unless there is a trial)."""
+    BT, PT = B.T, P.T
+    gnorm, singular, trial, left = float(np.abs(g).max()), False, None, 0
+    for it in range(max_iter):
+        if gnorm < tol:
+            break
+        J = P @ jacobian(z) @ B
+        if J.size == 1:
+            pivot = J.item()
+            if pivot == 0.0:
+                singular = True
+                break
+            dU = -g.item() / pivot
+        else:
+            try:
+                dU = _solve(J, -g)
+            except np.linalg.LinAlgError:
+                singular = True
+                break
+        U_new = U + dU
+        z_new = U_new @ BT + offset
+        g_new = phi(z_new) @ PT
+        gnorm_new = float(np.abs(g_new).max())
+        if not gnorm_new < gnorm:
+            trial = (np.reshape(dU, (1, -1)), U_new, z_new, g_new, np.array([gnorm_new]))
+            left = max_iter - it
+            break
+        U, z, g, gnorm = U_new, z_new, g_new, gnorm_new
+    return U, z, g, np.array([gnorm]), singular, trial, left
+
+
 def damped_newton(phi, jacobian, P, B, offset, U0, tol, max_iter):
     """Damped Newton on ``P phi(U B^T + offset) = 0`` for a stack of rows.
 
@@ -262,21 +307,32 @@ def damped_newton(phi, jacobian, P, B, offset, U0, tol, max_iter):
     raises for any of them).  A row freezes when it converges, when no
     length down to ``2**-(HALVINGS - 1)`` decreases its residual (the
     damping floor) or when its reduced Jacobian is singular.  Only rows
-    still iterating are evaluated, and each row takes the step it would
-    take alone.  An iteration's work is proportional to its live rows,
-    kept as an ascending index array, or read and written as whole arrays
-    while every row iterates; the stack is solved in one call
+    still iterating are evaluated.  An iteration's work is proportional to
+    its live rows, kept as an ascending index array, or read and written as
+    whole arrays while every row iterates; the stack is solved in one call
     (:func:`_solve`: one division where ``B`` has one column, as for the
     enzyme model's one fast rate, else ``np.linalg.solve``), bisected
     (:func:`_solve_rows`) only when a matrix is singular, and the column
-    of lengths is built once, at import.  An
-    iteration thus makes at most two ``phi`` calls, and a one-row
-    iteration that takes its full step costs its kernel calls and a dozen
-    small array operations.  Returns ``(z, converged,
-    singular, residual)``, one entry per row: the last iterate, whether its
-    residual is below ``tol``, whether it stopped on a singular Jacobian,
-    and ``|g|_inf`` there.  A ``tol`` that is not finite and positive
-    raises ContractViolationError before any iteration.
+    of lengths is built once, at import.  An iteration thus makes at most
+    two ``phi`` calls.
+
+    One row (``m == 1``: every fibre anchor of a fast-time measurement, and
+    the equilibrium) takes its full steps in :func:`_full_steps`, on its
+    ``(1, .)`` arrays with its residual a Python float, no row indices and,
+    with one column in ``B``, the division on Python floats: a step then
+    costs its kernel calls and a few small array products.  At the first
+    full step that does not lower the residual it hands the stacked loop
+    that evaluated step and the iterations left, and the line search goes
+    on there; at a singular reduced Jacobian it stops.  The row thus makes
+    the same kernel calls, on the same states, as the stacked loop makes
+    for it.  A row alone is not bit for bit the same row in a larger stack:
+    numpy forms ``phi(z) @ P.T`` for one row as a dot product and for
+    several as a matrix-vector product, whose sums may round apart.
+
+    Returns ``(z, converged, singular, residual)``, one entry per row: the
+    last iterate, whether its residual is below ``tol``, whether it stopped
+    on a singular Jacobian, and ``|g|_inf`` there.  A ``tol`` that is not
+    finite and positive raises ContractViolationError before any iteration.
     """
     _check_tol(tol)
     m, k = offset.shape[0], B.shape[1]
@@ -287,26 +343,36 @@ def damped_newton(phi, jacobian, P, B, offset, U0, tol, max_iter):
     z = U @ BT + offset
     n = z.shape[1]
     g = phi(z) @ PT
-    gnorm = np.abs(g).max(axis=1)
     singular = np.zeros(m, dtype=bool)
+    trial = None
+    if m == 1:
+        U, z, g, gnorm, singular[0], trial, max_iter = _full_steps(
+            phi, jacobian, P, B, offset, U, z, g, tol, max_iter)
+    else:
+        gnorm = np.abs(g).max(axis=1)
     rows = np.arange(m)  # the rows still iterating, ascending
     for _ in range(max_iter):
-        rows = rows[~(gnorm[rows] < tol)]
-        if rows.size == 0:
-            break
-        live = np.s_[:] if rows.size == m else rows  # every row iterates: no gathers
-        J, b = P @ jacobian(z[live]) @ B, -g[live]
-        try:
-            dU = _solve(J, b)
-        except np.linalg.LinAlgError:
-            dU, ok = _solve_rows(J, b)
-            singular[rows[~ok]] = True
-            rows, dU = rows[ok], dU[ok]
-            live = rows
-        U_new = U[live] + dU  # the full step
-        z_new = U_new @ BT + offset[live]
-        g_new = phi(z_new) @ PT
-        gnorm_new = np.abs(g_new).max(axis=1)
+        if trial is None:
+            rows = rows[~(gnorm[rows] < tol)]
+            if rows.size == 0:
+                break
+            live = np.s_[:] if rows.size == m else rows  # every row iterates: no gathers
+            J, b = P @ jacobian(z[live]) @ B, -g[live]
+            try:
+                dU = _solve(J, b)
+            except np.linalg.LinAlgError:
+                dU, ok = _solve_rows(J, b)
+                singular[rows[~ok]] = True
+                rows, dU = rows[ok], dU[ok]
+                if rows.size == 0:
+                    break
+                live = rows
+            U_new = U[live] + dU  # the full step
+            z_new = U_new @ BT + offset[live]
+            g_new = phi(z_new) @ PT
+            gnorm_new = np.abs(g_new).max(axis=1)
+        else:  # the one row's full step, which did not lower its residual
+            (dU, U_new, z_new, g_new, gnorm_new), trial, live = trial, None, np.s_[:]
         down = gnorm_new < gnorm[live]
         if down.all():
             U[live], z[live], g[live], gnorm[live] = U_new, z_new, g_new, gnorm_new

@@ -323,6 +323,46 @@ def test_a_closure_csv_of_one_species_exits_2_before_any_stage(tmp_path, monkeyp
     assert not (tmp_path / "p.csv").exists()
 
 
+ONE_SPECIES = {"model": "linear", "model_params": {"A": [[-1.0]], "z_star": [0.0]},
+               "fasttime_start": [1.0]}
+TWO_SPECIES = {"model": "linear", "model_params": {"A": [[-0.01, 0.0], [0.0, -1.0]],
+                                                   "z_star": [0.0, 0.0]},
+               "fasttime_start": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("dim, extra, need", [
+    (1, ONE_SPECIES, "at least 2 species"),
+    (2, ONE_SPECIES, "exactly 3 species"),
+    (2, TWO_SPECIES, "exactly 3 species"),
+    (2, LINEAR4, "exactly 3 species"),
+], ids=["1d-one-species", "2d-one-species", "2d-two-species", "2d-four-species"])
+def test_redim_on_the_wrong_species_count_exits_2_before_any_stage(
+        tmp_path, monkeypatch, capsys, dim, extra, need):
+    """The REDIM-1D is a graph over species 1 and needs at least 2 species,
+    the REDIM-2D a graph Z(X, Y) of exactly 3: the count is checked with the
+    config, so no stage runs, one ``error:`` line is printed and no file is
+    written (a one-species model ended in a traceback from the steady
+    solver, a two-species ``--dim 2`` in one from the anchors)."""
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_config(tmp_path, extra)
+    for name in ("equilibrium", "run_gql", "integrate_to_steady", "write_redim"):
+        monkeypatch.setattr(cli, name, _no_stage)
+    assert main(["redim", "--config", cfg, "--dim", str(dim), "--grad", "const:1",
+                 "--out", "r.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and need in captured.err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_redim_1d_on_two_species_still_runs(tmp_path):
+    """Two species are enough for the REDIM-1D: Y over X."""
+    out = tmp_path / "r.csv"
+    assert main(["redim", "--config", _write_config(tmp_path, TWO_SPECIES), "--dim", "1",
+                 "--grad", "const:1", "--out", str(out)]) == 0
+    assert len(np.loadtxt(out, delimiter=",", skiprows=2, ndmin=2)[0]) == 3
+
+
 def test_subcommands_write_the_pipeline_artifacts(tmp_path):
     """Each subcommand writes its stage's pipeline artifact: equal after the
     provenance line, and the fast-time rows equal the pipeline's rows."""

@@ -339,10 +339,14 @@ def test_pde_evaluates_the_source_twice_per_step(mm_dec, mm_model, mm_bc):
 
 
 def test_ode_evaluates_the_source_twice_per_step(mm_dec, mm_model):
-    """The ODE twin of the PDE call pattern, all on single states: the start
-    check, the start's first terms, then each step's second stage and new
-    state.  The fibre anchor's (1, 3) calls come after them.  Without
-    transport no K is sampled, so K is exactly 0."""
+    """The ODE twin of the PDE call pattern, all on single states: the
+    start, then each step's second stage and new state.  The start is
+    evaluated once, as its one array gives both the start check's ghat and
+    step 1's first stage (it was evaluated twice, ``2 + 2 * steps`` calls);
+    the PDE's start check stays its own call, as a node's rates in a stack
+    need not match a single-state call bit for bit.  The fibre anchor's
+    (1, 3) calls come after them.  Without transport no K is sampled, so K
+    is exactly 0."""
     shapes = []
 
     def source(z):
@@ -351,7 +355,7 @@ def test_ode_evaluates_the_source_twice_per_step(mm_dec, mm_model):
 
     counted = dataclasses.replace(mm_model, source=source)
     report = measure_fast_time_ode(mm_dec.value, counted, Z_RIGHT)
-    end = 2 + 2 * report.steps
+    end = 1 + 2 * report.steps
     assert report.steps > 0 and report.K == 0.0
     assert shapes.count((3,)) == end
     assert shapes[:end] == [(3,)] * end

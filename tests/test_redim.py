@@ -270,6 +270,15 @@ def test_projected_residual_vanishes_on_converged_manifold(redim1d_mm, mm_model)
 # 1-D relaxation
 # ---------------------------------------------------------------------------
 
+def test_redim1d_needs_two_species():
+    """The 1-D REDIM relaxes species 2 .. n over species 1: a one-species
+    model raises ContractViolationError before any solve (it ended in a
+    ValueError from the steady solver's empty residual)."""
+    model = linear_model(np.array([[-1.0]]), np.zeros(1))
+    with pytest.raises(ContractViolationError, match="2 or more species; model has 1"):
+        evolve_redim_1d(model, ([0.0], [1.0]), M=11, grad=constant_gradient(1.0, "1d"))
+
+
 def test_redim1d_anchors_bit_exact(redim1d_mm, mm_eq):
     man = redim1d_mm.value
     assert np.array_equal(man.states[0], mm_eq.value)

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -615,3 +616,97 @@ def test_one_fast_rate_never_calls_lapack(monkeypatch, mm_model, mm_dec, mm_eq):
         lambda z: eval_source(mm_model, z), mm_model.jacobian, dec.Zt_f, dec.Z_f,
         V @ dec.Z_s.T, dec.Zt_f @ mm_eq.value, 1e-10, 60)
     assert shapes == [] and converged.any()
+
+
+
+def _recorded_newton(mm_model, mm_dec, problem, start, U0, zero_below, max_iter, m):
+    """``damped_newton`` on ``m`` copies of one enzyme-model row, with a
+    ``phi`` and a ``jacobian`` that record every state they see: a fibre
+    through the slow coordinates ``start[:2]``, from ``U0``, or the
+    equilibrium from the guess ``start``.  The Jacobian is zero at states
+    with X below ``zero_below``; at most ``max_iter`` iterations.  Returns
+    the outcome (the four results, or the error's type and message) and the
+    calls."""
+    calls = []
+
+    def phi(z):
+        calls.append(("phi", z.copy()))
+        return eval_source(mm_model, z)
+
+    def jacobian(z):
+        calls.append(("jacobian", z.copy()))
+        J = mm_model.jacobian(z)
+        if zero_below is not None:
+            J[z[:, 0] < zero_below] = 0.0
+        return J
+
+    if problem == "fibre":
+        dec = mm_dec.value
+        P, B, offset = dec.Zt_f, dec.Z_f, np.array(start[:2]) @ dec.Z_s.T
+    else:
+        P = B = np.eye(3)
+        offset, U0 = np.zeros(3), start
+    try:
+        out = damped_newton(phi, jacobian, P, B, np.tile(offset, (m, 1)),
+                            np.array(U0, dtype=float), 1e-12, max_iter)
+    except Exception as exc:  # the compared solves must fail alike
+        out = (type(exc), str(exc))
+    return out, calls
+
+
+def _no_full_steps(phi, jacobian, P, B, offset, U, z, g, tol, max_iter):
+    """``steady._full_steps`` taking no step: the stacked loop then runs the
+    row from its start, as it ran every row before the one-row path."""
+    return U, z, g, np.abs(g).max(axis=1), False, None, max_iter
+
+
+def _bits_of(out):
+    return [(type(x), x.tobytes()) if isinstance(x, np.ndarray) else x for x in out]
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=st.sampled_from(["fibre", "equilibrium"]),
+       start=st.tuples(*[st.floats(-2.0, 4.0)] * 3),
+       U0=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=1),
+       zero_below=st.none() | st.floats(-1.0, 3.0),
+       max_iter=st.integers(0, 4) | st.just(60))
+@example("fibre", (-0.09300256542417357, 0.3330318672246814, 0.0), [-0.6684159495201561],
+         None, 60)
+@example("fibre", (-0.5228212673137794, -0.5249249786437415, 0.0), [-0.12849530204471477],
+         None, 60)
+@example("fibre", (0.9362114869980132, -0.4095345897096701, 0.0), [0.6170020348271854], 10.0, 60)
+@example("fibre", (0.9362114869980132, -0.4095345897096701, 0.0), [0.6170020348271854], 1.52, 60)
+@example("equilibrium", (-0.020434676788517514, -1.8749806702194556, 2.960688241656098),
+         [0.0], None, 60)
+@example("equilibrium", (-0.5793428584431763, 1.6564953147391988, -1.7466160618370157),
+         [0.0], None, 60)
+@example("equilibrium", (1.0, 0.5, 0.0), [0.0], None, 60)
+def test_one_row_takes_the_stacked_iteration(mm_model, mm_dec, problem, start, U0,
+                                             zero_below, max_iter):
+    """A row solved alone takes its full steps without the stacked loop's
+    row indices, and hands the stacked loop the full step that does not
+    lower its residual.  It ends as the stacked loop ends the same row,
+    bit for bit (``z``, ``converged``, ``singular``, ``residual``, or the
+    same error), after the same kernel calls on the same states.  The same
+    row twice in a two-row stack ends twice alike, with every call holding
+    the pair.  (A one-row stack is not compared with a two-row one: numpy
+    forms ``phi(z) @ P.T`` on one row as a dot product and on two as a
+    matrix-vector product, which may differ in the last bit.)  The
+    examples: a fibre whose first full step is rejected (the hand-over,
+    then convergence), a fibre with no root (the damping floor), a zero
+    reduced Jacobian at the start and after two full steps (a 1 x 1
+    singular step), an equilibrium guess whose second full step is rejected,
+    one that ends at the damping floor, and one whose 3 x 3 Jacobian is
+    singular at the start."""
+    args = (mm_model, mm_dec, problem, start, U0, zero_below, max_iter)
+    one, calls = _recorded_newton(*args, 1)
+    with mock.patch.object(steady, "_full_steps", _no_full_steps):
+        stacked, stacked_calls = _recorded_newton(*args, 1)
+    assert _bits_of(one) == _bits_of(stacked)
+    assert [(kind, z.tobytes()) for kind, z in calls] == [
+        (kind, z.tobytes()) for kind, z in stacked_calls]
+    two, pair_calls = _recorded_newton(*args, 2)
+    if not isinstance(two[0], type):
+        assert all(x[0].tobytes() == x[1].tobytes() for x in two)
+    for _, pair in pair_calls:
+        assert pair[::2].tobytes() == pair[1::2].tobytes()
