@@ -1,11 +1,12 @@
 """scipy's compiled LAPACK, without scipy.linalg's Python layer.
 
-The package calls five LAPACK routines: ``sgbsv`` (steady band steps),
-``dgttrf``/``dgttrs`` (the fast-time implicit stage) and ``dgees``/``dtrsyl``
-(the GQL split).  All five live in one compiled extension,
-``scipy.linalg._flapack``, which needs only numpy.  ``import scipy.linalg``
-costs about 0.15 s and 28 MB more on a 2-vCPU VM, mostly in
-``scipy._lib._array_api``, which pulls in ``numpy.f2py`` and ``numpy.testing``.
+The package calls six LAPACK routines: ``sgbsv`` (steady band steps),
+``dgttrf``/``dgttrs`` (the fast-time implicit stage) and
+``dgees``/``dtrsen``/``dtrsyl`` (the GQL split).  All six live in one
+compiled extension, ``scipy.linalg._flapack``, which needs only numpy.
+``import scipy.linalg`` costs about 0.15 s and 28 MB more on a 2-vCPU VM,
+mostly in ``scipy._lib._array_api``, which pulls in ``numpy.f2py`` and
+``numpy.testing``.
 
 So the extension file is loaded on its own, under its own name, and entered
 in ``sys.modules`` under that name: a later ``import scipy.linalg`` (whose
@@ -64,4 +65,5 @@ sgbsv = _flapack.sgbsv
 dgttrf = _flapack.dgttrf
 dgttrs = _flapack.dgttrs
 dgees = _flapack.dgees
+dtrsen = _flapack.dtrsen
 dtrsyl = _flapack.dtrsyl

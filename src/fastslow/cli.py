@@ -211,6 +211,16 @@ def _default_guess(model):
     return np.zeros(model.dimension)
 
 
+def _gql_model(config: RunConfig) -> ReactionDiffusionModel:
+    """The model of a command that runs the gql stage, checked before any
+    stage for the working box that stage samples."""
+    model = build_model(config)
+    if model.working_box is None:
+        raise ConfigError(f"model {model.name} declares no working box, "
+                          f"which the gql stage samples")
+    return model
+
+
 def run_gql(config: RunConfig, model):
     """Equilibrium, linear surrogate and fast/slow split."""
     z_eq = equilibrium(model, _default_guess(model))
@@ -366,7 +376,7 @@ def _parse_state(text) -> tuple:
 
 
 def cmd_gql(config: RunConfig, args) -> int:
-    model = build_model(config)
+    model = _gql_model(config)
     dec, z_eq = run_gql(config, model)
     write_gql_report(args.out_report, dec, model)
     if args.out_mesh:
@@ -405,7 +415,7 @@ def cmd_redim(config: RunConfig, args) -> int:
 
 
 def cmd_fast_time(config: RunConfig, args) -> int:
-    model = build_model(config)
+    model = _gql_model(config)
     dec, z_eq = run_gql(config, model)
     rows = fast_time_rows(config, model, dec, boundary_conditions(config, z_eq), [args.mode])
     if args.out:
@@ -426,10 +436,7 @@ def run_pipeline(config: RunConfig, out_dir: str | None = None) -> dict:
     Returns a dict of artifact paths.  Raises with the failing stage named;
     artifacts of completed stages are left in place.
     """
-    model = build_model(config)
-    if model.working_box is None:
-        raise ConfigError(f"model {model.name} declares no working box, "
-                          f"which the gql stage samples")
+    model = _gql_model(config)
     out = out_dir or config.out_dir
     os.makedirs(out, exist_ok=True)
     paths = {name: os.path.join(out, name + ext) for name, ext in (

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BoundaryNodeError, ContractViolationError
+from .errors import BoundaryNodeError, ContractViolationError, DivergenceError
 
 __all__ = [
     "Grid1D",
@@ -138,7 +138,11 @@ def fd_jacobian(f: Callable, z, step: float = 1e-7) -> np.ndarray:
 
 
 def eval_source(model: ReactionDiffusionModel, z) -> np.ndarray:
-    """Evaluate the reaction source at one state; pure and deterministic."""
+    """Evaluate the reaction source at one state; pure and deterministic.
+
+    A state of another length raises :class:`ContractViolationError`, a
+    non-finite value of the source :class:`DivergenceError`: a source that
+    overflows is a numerical failure, not a bad argument."""
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != model.dimension:
         raise ContractViolationError(
@@ -146,7 +150,7 @@ def eval_source(model: ReactionDiffusionModel, z) -> np.ndarray:
         )
     out = np.asarray(model.source(z), dtype=float)
     if not np.isfinite(out).all():
-        raise ContractViolationError("source produced non-finite components")
+        raise DivergenceError("source produced non-finite components")
     return out
 
 

@@ -52,10 +52,9 @@ class NoDecompositionError(DecompositionError):
 
 
 class SplitConflictError(DecompositionError):
-    """The ordered Schur form cannot realise the proposed split: LAPACK's
-    reordering failed, or it put another number of eigenvalues in the fast
-    cluster than the magnitude gap did (a complex-conjugate pair straddling
-    the split, or an eigenvalue too ill-conditioned to place)."""
+    """The real Schur form cannot realise the proposed split: LAPACK failed
+    to compute it, or to reorder it with the fast cluster leading (blocks
+    too close to swap stably)."""
 
 
 class SingularJacobianError(DecompositionError):

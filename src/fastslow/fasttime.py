@@ -176,11 +176,11 @@ def _measure(dec, model, y, track, dt, max_time, terms, solver):
     terms of each new state serve three uses: the entry test of the
     tracked state, a K sample if it has not entered, and the first stage
     of the next step.  The ODE evaluates its start once, through
-    :func:`~fastslow.core.eval_source`, so a non-finite start still raises
-    ContractViolationError: that one array gives the start check's ghat
-    and step 1's first stage.  The PDE checks its tracked node with its own
-    single-state call, as a node's rates in a stack of nodes need not match
-    those of a single-state call bit for bit.  With one fast coordinate
+    :func:`~fastslow.core.eval_source`, so a start whose source is not
+    finite raises DivergenceError; that one array gives the start check's
+    ghat and step 1's first stage.  The PDE checks its tracked node with its
+    own single-state call, as a node's rates in a stack of nodes need not
+    match those of a single-state call bit for bit.  With one fast coordinate
     the path increments and the entry test's ghat are taken on Python
     floats, ``sqrt(d * d)``: a one-element dot product is one rounded
     product, so these are the bits of the array norms they replace; the

@@ -3,8 +3,9 @@ fast/slow coordinate machinery.
 
 The surrogate ``T`` is a global linear fit ``T psi ~ F(psi)`` over a sample
 set.  Splitting its spectrum at the largest consecutive magnitude gap yields
-invariant fast and slow subspaces; these are computed from one ordered real
-Schur form (LAPACK ``dgees``), decoupled by one triangular Sylvester solve
+invariant fast and slow subspaces; these are computed from one real Schur
+form (LAPACK ``dgees``), which gives the eigenvalues, reordered with the fast
+cluster leading (``dtrsen``) and decoupled by one triangular Sylvester solve
 (``dtrsyl``) on its own blocks, so the basis stays real and well conditioned
 even for complex or clustered eigenvalues.  Everything downstream
 (zero-order slow manifold, decomposed dynamics, transient diagnostics) hangs
@@ -144,17 +145,19 @@ def build_surrogate(model: ReactionDiffusionModel, sample_states) -> np.ndarray:
 def spectral_split(T, min_gap_ratio: float = 10.0) -> GqlDecomposition:
     """Split the spectrum of T at its largest consecutive magnitude gap.
 
-    Eigenvalues are sorted ascending by magnitude and the split is placed at
-    the maximal ratio |lam_{i+1}| / |lam_i|; anything below ``min_gap_ratio``
-    is rejected.  The invariant bases come from the ordered real Schur form
-    ``Q^T T Q = [[R11, R12], [0, R22]]`` (``dgees``, fast cluster leading),
-    block-diagonalized by ``X`` with ``R11 X - X R22 = -R12``, which
-    ``dtrsyl`` solves on the quasi-triangular blocks as they are, so
-    ``Zt_f T Z_s`` and ``Zt_s T Z_f`` vanish to rounding.  Four LAPACK calls
-    in all: the eigenvalues, a workspace query, the sorted Schur form and the
-    Sylvester solve.  A non-finite T raises :class:`ContractViolationError`;
-    a Schur reordering that fails or selects the wrong number of fast
-    eigenvalues raises :class:`SplitConflictError`.
+    The eigenvalues are those of the real Schur form ``Q^T T Q = R`` (an
+    unsorted ``dgees``), sorted ascending by magnitude; the split is placed
+    at the maximal ratio |lam_{i+1}| / |lam_i|, and anything below
+    ``min_gap_ratio`` is rejected.  ``dtrsen`` reorders ``R`` to put the
+    fast cluster, the magnitudes above the largest slow one, leading:
+    ``[[R11, R12], [0, R22]]``, block-diagonalized by ``X`` with
+    ``R11 X - X R22 = -R12``, which ``dtrsyl`` solves on the quasi-triangular
+    blocks as they are, so ``Zt_f T Z_s`` and ``Zt_s T Z_f`` vanish to
+    rounding.  Four LAPACK calls in all: a workspace query, the Schur form,
+    its reordering and the Sylvester solve; one set of eigenvalues gives the
+    gap, ``epsilon`` and the ordering.  A non-finite T raises
+    :class:`ContractViolationError`; a Schur form or a reordering that fails
+    raises :class:`SplitConflictError`.
     """
     T = np.array(T, dtype=float)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
@@ -168,13 +171,19 @@ def spectral_split(T, min_gap_ratio: float = 10.0) -> GqlDecomposition:
         raise ContractViolationError(f"min_gap_ratio must be finite and > 1, "
                                      f"got {min_gap_ratio!r}")
 
-    lam = np.linalg.eigvals(T)
-    lam = lam[np.argsort(np.abs(lam), kind="stable")]
+    # the binding requires a select argument; unsorted, dgees never calls it
+    lwork = int(_lapack.dgees(bool, T, lwork=-1)[-2][0])
+    R, _, wr, wi, Q, _, info = _lapack.dgees(bool, T, lwork=lwork)
+    if info != 0:
+        raise SplitConflictError(f"real Schur form failed (dgees info {info})")
+    lam = wr + 1j * wi
     mags = np.abs(lam)
-    if mags[0] == 0.0:
+    order = np.argsort(mags, kind="stable")
+    sorted_mags = mags[order]
+    if sorted_mags[0] == 0.0:
         raise NoDecompositionError("surrogate has a zero eigenvalue; gap undefined")
     with np.errstate(over="ignore"):  # a ratio past the double range is an infinite gap
-        ratios = mags[1:] / mags[:-1]
+        ratios = sorted_mags[1:] / sorted_mags[:-1]
     split = int(np.argmax(ratios)) + 1
     gap = float(ratios[split - 1])
     # a conjugate pair has bitwise equal magnitudes, a ratio of 1, so a gap
@@ -186,23 +195,13 @@ def spectral_split(T, min_gap_ratio: float = 10.0) -> GqlDecomposition:
 
     n_s = split
     n_f = n - split
-    epsilon = float(mags[split - 1] / mags[split])
+    epsilon = float(sorted_mags[split - 1] / sorted_mags[split])
 
-    # geometric-mean magnitude separates the two groups; a product of roots,
-    # since the product of magnitudes near 1e-170 underflows to 0
-    thresh = float(np.sqrt(mags[split - 1]) * np.sqrt(mags[split]))
-
-    def fast(re, im):
-        return np.hypot(re, im) > thresh
-
-    lwork = int(_lapack.dgees(fast, T, lwork=-1)[-2][0])
-    R, sdim, _, _, Q, _, info = _lapack.dgees(fast, T, lwork=lwork, sort_t=1)
+    # the n_f magnitudes above the largest slow one lead the reordered form
+    fast = mags > sorted_mags[split - 1]
+    R, Q, _, _, _, _, _, info = _lapack.dtrsen(fast, R, Q, job="N")
     if info != 0:
-        raise SplitConflictError(f"ordered Schur form failed (dgees info {info})")
-    if sdim != n_f:
-        raise SplitConflictError(
-            f"Schur ordering selected {sdim} fast eigenvalues, expected {n_f}"
-        )
+        raise SplitConflictError(f"Schur reordering failed (dtrsen info {info})")
     R11, R12, R22 = R[:n_f, :n_f], R[:n_f, n_f:], R[n_f:, n_f:]
     X, scale, _ = _lapack.dtrsyl(R11, R22, -R12, isgn=-1)
     X = X / scale  # scale < 1 only where dtrsyl avoids overflow
@@ -222,7 +221,7 @@ def spectral_split(T, min_gap_ratio: float = 10.0) -> GqlDecomposition:
             Z_tilde[k, :] = -Z_tilde[k, :]
 
     return GqlDecomposition(
-        T=T, eigenvalues=lam, split_index=split, n_f=n_f, n_s=n_s,
+        T=T, eigenvalues=lam[order], split_index=split, n_f=n_f, n_s=n_s,
         Z=Z, Z_tilde=Z_tilde, epsilon=epsilon,
     )
 

@@ -560,16 +560,32 @@ def test_pipeline_failure_keeps_its_residual(tmp_path):
     assert isinstance(exc.value.residual, float) and math.isfinite(exc.value.residual)
 
 
-def test_pipeline_rejects_a_model_without_working_box_before_any_stage(tmp_path, capsys):
+def test_pipeline_rejects_a_model_without_working_box_before_any_stage(tmp_path, monkeypatch,
+                                                                       capsys):
+    """``pipeline``, ``gql`` and ``fast-time``, the commands that run the gql
+    stage, reject it with one ``error:`` line: the equilibrium never runs,
+    and ``pipeline`` makes no directory."""
     linear3 = {"model": "linear",
                "model_params": {"A": np.diag([-1.0, -2.0, -30.0]).tolist(),
                                 "z_star": [1.0, 1.0, 1.0], "diffusion": [0.1] * 3}}
-    out = tmp_path / "out"
-    assert main(["pipeline", "--config", _write_config(tmp_path, linear3),
-                 "--out-dir", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "working box" in err and "Traceback" not in err
+    config, out = _write_config(tmp_path, linear3), tmp_path / "out"
+    monkeypatch.setattr(cli, "equilibrium", _no_stage)
+    for argv in (["pipeline", "--out-dir", str(out)], ["gql"], ["fast-time", "--mode", "ode"]):
+        assert main(argv + ["--config", config]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "working box" in err
     assert not out.exists()
+
+
+def test_a_source_that_overflows_in_a_stage_exits_3(tmp_path, capsys):
+    """A source that is not finite at a state a stage visits is a numerical
+    failure, not a bad argument: ``L2 = 1e-300`` divides the Z rate past
+    the double range, and ``pipeline`` ends in one ``error:`` line and exit
+    3, as a diffusion past float32's range does."""
+    config = _write_config(tmp_path, {"model_params": {"L2": 1e-300}})
+    assert main(["pipeline", "--config", config, "--out-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: [stage gql] source produced non-finite components\n"
 
 
 def test_env_var_out_dir(tmp_path, monkeypatch, capsys):
