@@ -1,6 +1,6 @@
 """scipy's compiled LAPACK, without scipy.linalg's Python layer.
 
-The package calls six LAPACK routines: ``sgbsv`` (steady band steps),
+The package calls six LAPACK routines: ``dgbsv`` (steady band steps),
 ``dgttrf``/``dgttrs`` (the fast-time implicit stage) and
 ``dgees``/``dtrsen``/``dtrsyl`` (the GQL split).  All six live in one
 compiled extension, ``scipy.linalg._flapack``, which needs only numpy.
@@ -61,7 +61,7 @@ def _load():
 
 
 _flapack = _load()
-sgbsv = _flapack.sgbsv
+dgbsv = _flapack.dgbsv
 dgttrf = _flapack.dgttrf
 dgttrs = _flapack.dgttrs
 dgees = _flapack.dgees

@@ -64,7 +64,7 @@ class SteadyResult:
     ``residual_history`` holds one ``(pseudo_time, residual)`` pair for the
     start and each step; ``steps`` counts the pairs with non-zero
     pseudo-time, i.e. the steps.  A Newton step logs pseudo-time ``inf``.
-    If a Newton step ends at or above the start's residual, the history
+    If a Newton step does not lower the residual, the history
     holds the attempt, that step last, then the history of the
     pseudo-transient continuation solve from the same start, which logs
     that start again at pseudo-time 0 (:func:`~fastslow.steady.relax_free`).
@@ -91,8 +91,8 @@ def integrate_to_steady(model: ReactionDiffusionModel, bc: BoundaryConditions,
     """Relax the linear initial profile to stationarity.
 
     Newton steps from the linear start, with pseudo-transient continuation
-    from the same start at the first step that ends at or above the start's
-    residual (:func:`~fastslow.steady.relax_free`).  Convergence is judged
+    from the same start at the first step that does not lower the residual
+    (:func:`~fastslow.steady.relax_free`).  Convergence is judged
     by the sup-norm of the full interior RHS, which must fall below
     ``settings.steady_tol``.
     """

@@ -8,21 +8,21 @@ grown by switched evolution relaxation, dtau <- dtau * |F_old| / |F_new|
 (Mulder & van Leer, JCP 59, 1985).  Far from the solution this follows the
 pseudo-time path; as the residual falls the step becomes Newton's.  Its
 Jacobian is exact, a sum of Kronecker terms of a 1-D matrix along each grid
-axis, written straight into the single-precision LAPACK band
-(:func:`band_assembler`): a diagonal of dense node blocks through one
-strided view of the band, a weighted stencil one band row per pair of
-diagonals, and the rows that the band LU keeps for its fill-in left to it.
-One rule decides the path: no step may end at or above the residual of the
-start it came from.  A solve takes Newton steps from its start, and
-restarts the pseudo-time path from the same start at the first step that
-does, so a failed attempt costs its steps only; on the pseudo-time path
+axis, written straight into the LAPACK band (:func:`band_assembler`): a
+diagonal of dense node blocks through one strided view of the band, a
+weighted stencil one band row per pair of diagonals, and the rows that the
+band LU keeps for its fill-in left to it.  A solve takes Newton steps from
+its start while each lowers the residual (the contraction monitor of
+Deuflhard's NLEQ codes), and restarts the pseudo-time path from the same
+start at the first that does not, so a failed attempt costs its steps only.
+On the pseudo-time path no step may end at or above the start's residual;
 such a step ends the solve.  Below that bound the residual may rise and
 fall again, as a PTC residual may before its Newton phase; switched
 evolution relaxation then shortens the step, but never below the first.
 
 - The stationary profile and the REDIM-1D converge in Newton steps from
-  their straight lines: 4 at N = 51, 101 and 201 (5 at 1601) where PTC
-  takes 11, and 6 at M = 101 where PTC takes 10.
+  their straight lines: 4 at N = 51 to 25601 where PTC takes 11 (N = 51
+  to 1601), and 6 at M = 101 where PTC takes 10.
 - A grid-sequenced REDIM-2D level converges in Newton steps from its
   prolonged coarse solution: 3 at 61 x 61 where PTC takes 6.
 - The REDIM-2D's coarsest level (31 x 31, from its straight line) rejects
@@ -97,13 +97,12 @@ def band_assembler(shape, terms):
     n0, n1 = shape
     n, dense = n0 * n1, range(1 - n1, n1)
     bw = max(abs(k * n1 + l) for P, W in terms for k in P for l in (dense if W is None else W))
-    # the band LU runs in blocks of 32 columns: sgbsv factors the study's 61 x 61
-    # Jacobian at a half-bandwidth of 64 in 5.1-7.4 ms, at its own 63 in 13.4-13.5
+    # the band LU runs in blocks of 32 columns: dgbsv factors the study's 61 x 61
+    # Jacobian at a half-bandwidth of 64 in 5.7-7.7 ms, at its own 63 in 6.2-10.0
     # ms (2-vCPU VM, one BLAS thread); pad if under 8 diagonals
     bw += -bw % 32 if -bw % 32 < 8 else 0
-    # single precision halves the band; residuals stay in double precision
     ld = 3 * bw + 1
-    ab = np.empty((ld, n), dtype=np.float32, order="F")
+    ab = np.empty((ld, n), order="F")
     flat, e = ab.reshape(-1, order="F"), ab.itemsize  # a view: ab is F-contiguous
 
     def blocks(k):  # rows a of P's diagonal k that have a column a + k, as (a, b, b')
@@ -142,25 +141,24 @@ def relax_free(rate, initial, free, tol):
     ``initial`` outside ``free``, and one ``(pseudo_time, residual)`` pair for
     the start and each step.
 
-    No step may end at or above ``r0``, the residual of ``initial``.  The
-    solve takes Newton steps (pseudo-time ``inf``) from ``initial``; at the
-    first one that does, a singular one or ``MAX_ITERATIONS`` of them, it
-    restarts PTC from ``initial`` at ``DTAU0``, so a failed attempt costs
-    its steps only (with chi = 0.1 the 121 x 121 REDIM-2D's attempt ends at
-    its sixth step, where the residual goes from 8.01 to 56 against a
-    start of 8.41).  The history then holds the attempt, its last step the
-    rejected one, and the PTC solve's history after it, from the same
-    start.  Below ``r0`` a residual may rise: the PTC step then shrinks
-    by switched evolution relaxation, never below ``DTAU0``.  On the PTC
-    path a step that ends at or above ``r0``, a singular step or
-    ``MAX_ITERATIONS`` steps raise ConvergenceError carrying the residual;
-    a non-finite residual raises DivergenceError; a ``tol`` that is not
-    finite and positive raises ContractViolationError before any step.
-    The rates, the band and the right-hand side are evaluated under one
-    ``np.errstate`` per solve that ignores overflow and invalid values: a
-    rate that overflows, or a band or right-hand side past single
-    precision, does so silently, and the step it spoils ends in one of
-    these errors, not in a numpy warning.
+    The solve takes Newton steps (pseudo-time ``inf``) from ``initial``; at
+    the first one that does not end below the residual it started from, a
+    singular one or ``MAX_ITERATIONS`` of them, it restarts PTC from
+    ``initial`` at ``DTAU0``, so a failed attempt costs its steps only (with
+    chi = 0.1 the 121 x 121 REDIM-2D's attempt ends at its fifth step, where
+    the residual rises from 0.06 to 0.28).  The history holds the attempt,
+    its last step the rejected one, and the PTC solve's history after it,
+    from the same start.  No PTC step may end at or above ``r0``, the
+    residual of ``initial``; below it a residual may rise: the step then
+    shrinks by switched evolution relaxation, never below ``DTAU0``.  On the
+    PTC path a step that ends at or above ``r0``, a singular step or
+    ``MAX_ITERATIONS`` steps raise ConvergenceError carrying the residual; a
+    non-finite residual raises DivergenceError; a ``tol`` that is not finite
+    and positive raises ContractViolationError before any step.  The rates,
+    the band and the right-hand side are evaluated under one ``np.errstate``
+    per solve that ignores overflow and invalid values: a rate, band or
+    right-hand side that overflows does so silently, and the step it spoils
+    ends in one of these errors, not in a numpy warning.
     """
     _check_tol(tol)
     # rates, band and right-hand side alike: left to the residual checks
@@ -182,20 +180,19 @@ def relax_free(rate, initial, free, tol):
                                                residual=residual)
                     break
                 bw, ab = jac()
-                F = R.ravel().astype(np.float32)
                 ab[bw:] *= -1.0  # rows :bw are gbsv's own
                 ab[2 * bw] += 1.0 / dtau
-                _, _, d, info = _lapack.sgbsv(bw, bw, ab, F, overwrite_ab=True)
+                _, _, d, info = _lapack.dgbsv(bw, bw, ab, R.ravel(), overwrite_ab=True)
                 if info > 0:
                     failure = ConvergenceError(f"singular step matrix at pseudo-time {tau:g}",
                                                residual=residual)
                     break
                 A[free] += d.reshape(A[free].shape)
                 R, jac = rate(A)
-                tau += dtau
+                tau, last = tau + dtau, residual
                 residual = float(np.abs(R).max())
                 history.append((tau, residual))
-                if not residual < r0:  # also a non-finite residual
+                if not residual < (last if dtau_start == np.inf else r0):  # also non-finite
                     failure = ConvergenceError(f"not stationary: step {step + 1} ended at "
                                                f"{residual:.3g}, not below its start's "
                                                f"{r0:.3g}", residual=residual)

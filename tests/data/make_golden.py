@@ -38,11 +38,14 @@ returns the same reports.
 With ``--histories`` it writes the ``residual_history`` of the stationary
 profile at N = 51, 101 and 201 (``SolverSettings`` defaults otherwise) to
 ``golden_histories.npz``, one ``(steps + 1, 2)`` array per N under ``n51``,
-``n101`` and ``n201``.  The committed file was written on top of commit
+``n101`` and ``n201``.  The file was first written on top of commit
 d117077, once the profile started with Newton steps from its linear start
-(4 steps at each N, pseudo-time 0 and then ``inf``; 11 PTC steps before);
-``tests/test_steady.py`` checks that the profile still takes the same
-steps, bit for bit.
+(4 steps at each N, pseudo-time 0 and then ``inf``; 11 PTC steps before).
+The committed file was written on top of commit eae90fd, once the steady
+band went from single to double precision: the same 4 steps, with final
+residuals 5.38e-10, 5.44e-10 and 5.45e-10 where they were 6.05e-10,
+1.12e-9 and 2.96e-9.  ``tests/test_steady.py`` checks that the profile
+still takes the same steps, bit for bit.
 
 Usage: PYTHONPATH=src python tests/data/make_golden.py [--mesh | --fasttime | --reports | --histories] [out.npz]
 """

@@ -474,22 +474,27 @@ def test_fast_time_overflowing_start_exits_3_with_one_error_line(tmp_path, capsy
     assert not out.exists()
 
 
-@pytest.mark.parametrize("extra, argv, stage", [
-    ({"model_params": {"delta": 1e300}}, ["pipeline"], "[stage pde] "),
-    ({"fasttime_start": [-1e300, 1e8, 1e8]}, ["pipeline"], "[stage pde] "),
-    ({"redim_grad": "const:1e200"}, ["pipeline"], "[stage redim-1d] "),
-    ({}, ["redim", "--dim", "2", "--grad", "const:1e200"], ""),
-], ids=["huge-delta", "huge-start", "huge-grad-redim1d", "huge-grad-redim2d"])
-def test_steady_overflow_exits_3_with_one_error_line(tmp_path, capsys, extra, argv, stage):
-    """A band or right-hand side past float32's range, or a REDIM rate that
-    overflows (a closure gradient of 1e200 squares past the double range),
-    ends its steady solve in one ``error:`` line and exit 3, with no numpy
-    warning."""
+@pytest.mark.parametrize("extra, argv, message", [
+    ({"model_params": {"delta": 1e300}}, ["pipeline"], "[stage pde] not stationary: step"),
+    ({"fasttime_start": [-1e300, 1e8, 1e8]}, ["pipeline"],
+     "[stage pde] not stationary after 200 steps"),
+    ({"model_params": {"delta": 1e306}}, ["pipeline"], "[stage pde] non-finite"),
+    ({"redim_grad": "const:1e200"}, ["pipeline"], "[stage redim-1d] non-finite"),
+    ({}, ["redim", "--dim", "2", "--grad", "const:1e200"], "non-finite"),
+], ids=["huge-delta", "huge-start", "overflowing-delta", "huge-grad-redim1d",
+        "huge-grad-redim2d"])
+def test_steady_overflow_exits_3_with_one_error_line(tmp_path, capsys, extra, argv, message):
+    """A steady solve whose band or rates reach 1e288 and more ends in one
+    ``error:`` line and exit 3, with no numpy warning: a diffusion of 1e300
+    at its first step that does not lower the start's residual, a start of
+    -1e300 after its 200 PTC steps, and a diffusion of 1e306, whose band
+    overflows, or a REDIM rate that overflows (a closure gradient of 1e200
+    squares past the double range) at a non-finite residual."""
     out = ["--out", str(tmp_path / "r.csv")] if argv[0] == "redim" else [
         "--out-dir", str(tmp_path / "out")]
     assert main(argv + ["--config", _write_config(tmp_path, extra)] + out) == 3
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith(f"error: {stage}non-finite")
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}"), err
     assert "Warning" not in err
 
 
@@ -581,7 +586,7 @@ def test_a_source_that_overflows_in_a_stage_exits_3(tmp_path, capsys):
     """A source that is not finite at a state a stage visits is a numerical
     failure, not a bad argument: ``L2 = 1e-300`` divides the Z rate past
     the double range, and ``pipeline`` ends in one ``error:`` line and exit
-    3, as a diffusion past float32's range does."""
+    3, as a diffusion whose band overflows does."""
     config = _write_config(tmp_path, {"model_params": {"L2": 1e-300}})
     assert main(["pipeline", "--config", config, "--out-dir", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err

@@ -44,7 +44,7 @@ from fastslow import _lapack
 assert fastslow.cli.main(["pipeline", "--config", sys.argv[1], "--out-dir", sys.argv[2]]) == 0
 loaded = sorted(m for m in sys.argv[3:] if m in sys.modules)
 import scipy.linalg.lapack
-shared = (scipy.linalg.lapack.sgbsv is _lapack.sgbsv
+shared = (scipy.linalg.lapack.dgbsv is _lapack.dgbsv
           and sys.modules["scipy.linalg._flapack"] is _lapack._flapack)
 print(json.dumps([loaded, shared]))
 """
@@ -54,7 +54,7 @@ import sys
 import scipy.linalg.lapack
 ext = sys.modules["scipy.linalg._flapack"]
 from fastslow import _lapack
-print(scipy.linalg.lapack.sgbsv is _lapack.sgbsv and _lapack._flapack is ext)
+print(scipy.linalg.lapack.dgbsv is _lapack.dgbsv and _lapack._flapack is ext)
 """
 
 
@@ -98,7 +98,7 @@ print(taken, digest.hexdigest())
 
 
 def test_without_the_extension_file_the_ordinary_import_gives_the_same_bits():
-    """Split, profile (``sgbsv``) and fast-time PDE (``dgttrf``/``dgttrs``)."""
+    """Split, profile (``dgbsv``) and fast-time PDE (``dgttrf``/``dgttrs``)."""
     direct = _python(SOLVES, "direct").split()
     fallback = _python(SOLVES, "fallback").split()
     assert direct[0] == "False" and fallback[0] == "True"
