@@ -54,8 +54,11 @@ __all__ = [
 ]
 
 GRAM_COND_LIMIT = 1e12
-# coarsest level of the REDIM-2D grid sequencing: at 61 x 61 a further
-# 16 x 16 level took 10 + 3 + 3 steps in 0.053 s against 10 + 3 in 0.050 s
+# coarsest level of the REDIM-2D grid sequencing.  At 61 x 61 with the
+# profile's closure a further 16 x 16 level takes 2 + 10, 3 and 3 steps
+# (Newton + PTC per level) in 25.4 ms against 1 + 10 and 3 in 27.2 ms (medians
+# of 150 alternating solves, 2-vCPU VM, one BLAS thread); kept at 31, since
+# 16 would also sequence the 31 x 31 grids that the weak-closure tests pin
 COARSEST = 31
 
 

@@ -11,7 +11,10 @@ Jacobian is exact, a sum of Kronecker terms of a 1-D matrix along each grid
 axis, written straight into the LAPACK band (:func:`band_assembler`): a
 diagonal of dense node blocks through one strided view of the band, a
 weighted stencil one band row per pair of diagonals, and the rows that the
-band LU keeps for its fill-in left to it.  A solve takes Newton steps from
+band LU keeps for its fill-in left to it.  The step is solved as
+(J - I / dtau) d = -F(x), so the band goes to LAPACK as assembled, its
+diagonal shifted; a half-bandwidth from 56 to 64 is stored at 65, where
+LAPACK's band LU runs blocked.  A solve takes Newton steps from
 its start while each lowers the residual (the contraction monitor of
 Deuflhard's NLEQ codes), and restarts the pseudo-time path from the same
 start at the first that does not, so a failed attempt costs its steps only.
@@ -55,6 +58,16 @@ MAX_ITERATIONS = 200
 HALVINGS = 17
 # 2**-1 .. 2**-16 as a (lengths, 1, 1) column that scales a stack of steps
 _STEPS = np.ldexp(1.0, -np.arange(1, HALVINGS))[:, None, None]
+# dgbtrf factors in blocks of 32 columns only when KU > 64 and KL >= 32:
+# reference LAPACK's ilaenv gives NB = 1 for xGBTRF at KU <= 64 and 32 above,
+# so a band at most 64 wide takes the unblocked dgbtf2.  dgbsv on the last
+# Newton matrix of an M1 x M2 REDIM-2D (hold "theta1", half-bandwidth M2 + 2),
+# in ms at its own width / widened to 65 (medians, 2-vCPU VM, one BLAS thread):
+# M1 = 61: 52: 2.77 / 3.35, 54: 3.19 / 3.40, 55: 3.49 / 3.50, 56: 3.77 / 3.60,
+# 57: 4.48 / 3.73, 60: 4.94 / 4.12, 63: 5.98 / 4.37, 64: 5.56 / 4.47;
+# M1 = 31: 33: 0.51 / 0.86.  So a half-bandwidth from BLOCKED_FROM to 64 is
+# widened to BLOCKED.
+BLOCKED, BLOCKED_FROM = 65, 56
 
 
 def _check_tol(tol):
@@ -93,14 +106,16 @@ def band_assembler(shape, terms):
     (W None) is thus one strided ``(a, b, b')`` view of the band, written by
     one add; a weighted-stencil term adds one band row per ``(k, l)``.  Each
     entry sums its terms in their order.  Only rows ``bw:`` are written: gbsv
-    keeps rows ``:bw`` for its fill-in, and the caller need not set them."""
+    keeps rows ``:bw`` for its fill-in, and the caller need not set them.
+
+    ``bw`` is the half-bandwidth of the terms, but one from ``BLOCKED_FROM``
+    to 64 is widened to ``BLOCKED`` with zero diagonals, where the LU that
+    ``dgbsv`` runs is blocked; the rule keys on ``bw`` alone."""
     n0, n1 = shape
     n, dense = n0 * n1, range(1 - n1, n1)
     bw = max(abs(k * n1 + l) for P, W in terms for k in P for l in (dense if W is None else W))
-    # the band LU runs in blocks of 32 columns: dgbsv factors the study's 61 x 61
-    # Jacobian at a half-bandwidth of 64 in 5.7-7.7 ms, at its own 63 in 6.2-10.0
-    # ms (2-vCPU VM, one BLAS thread); pad if under 8 diagonals
-    bw += -bw % 32 if -bw % 32 < 8 else 0
+    if BLOCKED_FROM <= bw < BLOCKED:  # zero diagonals buy the blocked LU
+        bw = BLOCKED
     ld = 3 * bw + 1
     ab = np.empty((ld, n), order="F")
     flat, e = ab.reshape(-1, order="F"), ab.itemsize  # a view: ab is F-contiguous
@@ -141,6 +156,11 @@ def relax_free(rate, initial, free, tol):
     ``initial`` outside ``free``, and one ``(pseudo_time, residual)`` pair for
     the start and each step.
 
+    Each step solves ``(J - I / dtau) d = -R`` by ``dgbsv``: the negated
+    form of ``(I / dtau - J) d = R``, whose ``d`` it gives bit for bit
+    (negation is exact, and partial pivoting compares magnitudes), with
+    only the band's diagonal and the n-vector ``R`` touched before the LU.
+
     The solve takes Newton steps (pseudo-time ``inf``) from ``initial``; at
     the first one that does not end below the residual it started from, a
     singular one or ``MAX_ITERATIONS`` of them, it restarts PTC from
@@ -180,9 +200,8 @@ def relax_free(rate, initial, free, tol):
                                                residual=residual)
                     break
                 bw, ab = jac()
-                ab[bw:] *= -1.0  # rows :bw are gbsv's own
-                ab[2 * bw] += 1.0 / dtau
-                _, _, d, info = _lapack.dgbsv(bw, bw, ab, R.ravel(), overwrite_ab=True)
+                ab[2 * bw] -= 1.0 / dtau  # (J - I / dtau) d = -R
+                _, _, d, info = _lapack.dgbsv(bw, bw, ab, -R.ravel(), overwrite_ab=True)
                 if info > 0:
                     failure = ConvergenceError(f"singular step matrix at pseudo-time {tau:g}",
                                                residual=residual)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from fastslow import pde, redim, steady
+from fastslow import _lapack, pde, redim, steady
 from fastslow.core import ReactionDiffusionModel, eval_source
 from fastslow.errors import ContractViolationError, ConvergenceError, DivergenceError
 from fastslow.gql import default_slow_grid, spectral_split
@@ -317,15 +317,19 @@ def _matrix(diagonals, m):
                                 st.booleans(),
                                 st.sampled_from(["dense", "scalar", "column", "full"])),
                       min_size=1, max_size=4))
+# half-bandwidths n1 = 60 and 56, widened to steady.BLOCKED, and 55, just below
+@example(n0=4, n1=60, seed=1, terms=[(1, True, 0, False, "full"), (0, False, 0, False, "dense")])
+@example(n0=4, n1=56, seed=2, terms=[(1, True, 0, False, "column")])
+@example(n0=4, n1=55, seed=3, terms=[(1, True, 0, False, "scalar"), (2, True, 0, False, "full")])
 def test_band_assembler_matches_a_dense_oracle(n0, n1, seed, terms):
     """Every band entry (rows ``bw:`` of the LAPACK storage) equals the dense
     ``sum_a kron(e_a e_a^T P, W_a)`` to double rounding, and the dense
-    matrix is zero outside the band.  Terms are difference matrices of
-    order 0-2 on the slices ``[:]`` and ``[1:-1]``, with dense node blocks
-    or a weighted stencil (also of any order, on either slice) whose weight
-    is a scalar, ``(n0, 1)`` or ``(n0, n1)``.  The band is assembled twice,
-    with NaN written into the rows left to gbsv in between: the second
-    call is exact as well."""
+    matrix is zero outside the band, widened or not.  Terms are difference
+    matrices of order 0-2 on the slices ``[:]`` and ``[1:-1]``, with dense
+    node blocks or a weighted stencil (also of any order, on either slice)
+    whose weight is a scalar, ``(n0, 1)`` or ``(n0, n1)``.  The band is
+    assembled twice, with NaN written into the rows left to gbsv in
+    between: the second call is exact as well."""
     rng = np.random.default_rng(seed)
     built, J, scale = [], np.zeros((n0 * n1, n0 * n1)), np.zeros((n0 * n1, n0 * n1))
     for order, interior, stencil_order, stencil_interior, kind in terms:
@@ -358,6 +362,70 @@ def test_band_assembler_matches_a_dense_oracle(n0, n1, seed, terms):
         err = np.abs(got - J[inside])
         assert (err <= 4.0 * np.finfo(float).eps * scale[inside]).all(), err.max()
         ab[:bw] = np.nan  # gbsv's fill-in rows: no assembly may read them
+
+
+@pytest.mark.parametrize("n1, bw", [(55, 55), (56, 65), (63, 65), (64, 65), (65, 65),
+                                    (66, 66)])
+def test_band_is_widened_to_the_blocked_lu_inside_its_window(n1, bw):
+    """A half-bandwidth from BLOCKED_FROM to 64 is stored at BLOCKED, the
+    narrowest on which dgbtrf factors in blocks; any other is its own."""
+    assemble = band_assembler((2, n1), [({1: np.ones(1)}, {0: np.ones(n1)})])
+    assert assemble([1.0])[0] == bw
+
+
+def _redim2d_band(M1, M2, hold):
+    """The half-bandwidth of the REDIM-2D band on an ``M1 x M2`` grid."""
+    free = (np.s_[1:-1], np.s_[1:-1] if hold == "all" else np.s_[:])
+    (A0, A1, A2), (B0, B1, B2) = [[difference_matrix(m, 0.1, o, s) for o in (0, 1, 2)]
+                                  for m, s in zip((M1, M2), free)]
+    shape = (M1 - 2, M2 - 2 if hold == "all" else M2)
+    assemble = band_assembler(shape, [(A0, B0), (A1, B0), (A0, B1), (A2, B0), (A1, B1),
+                                      (A0, B2)])
+    return assemble([np.ones(shape)] * 6)[0]
+
+
+@pytest.mark.parametrize("M, hold, bw", [(61, "theta1", 65), (61, "all", 65),
+                                         (31, "theta1", 33), (121, "theta1", 123)])
+def test_redim2d_band_widths_are_pinned(M, hold, bw):
+    """The study's 61 x 61 free block (59, 61) has a true half-bandwidth of
+    63 and (59, 59) of 60, both widened; its 31 x 31 level's 33 and the
+    121 x 121 grid's 123 are stored as they are."""
+    assert _redim2d_band(M, M, hold) == bw
+
+
+@settings(max_examples=100, deadline=None)
+@given(bw=st.integers(1, 8), n=st.integers(3, 60), seed=st.integers(0, 2 ** 32 - 1),
+       dtau=st.one_of(st.just(np.inf), st.floats(1e-6, 1e6)),
+       zero_column=st.one_of(st.none(), st.integers(0, 59)))
+@example(bw=1, n=3, seed=0, dtau=np.inf, zero_column=0)
+@example(bw=8, n=60, seed=1, dtau=0.1, zero_column=59)
+def test_negated_step_system_gives_the_same_step(bw, n, seed, dtau, zero_column):
+    """``relax_free`` solves ``(J - I / dtau) d = -F`` for the step of
+    ``(I / dtau - J) d = F``: negation is exact and partial pivoting compares
+    magnitudes, so dgbsv returns the same ``d`` and ``info``, bit for bit.
+    ``zero_column`` makes a column of the step matrix exactly zero (a
+    singular step: ``info`` agrees, and ``d`` is not a step).  The rows
+    left to gbsv's fill-in hold NaN, as LAPACK sets them itself."""
+    rng = np.random.default_rng(seed)
+    r, c = np.indices((n, n))
+    inside = np.abs(r - c) <= bw
+    J = rng.standard_normal((n, n)) * inside
+    if zero_column is not None:
+        j = zero_column % n
+        J[:, j] = 0.0
+        J[j, j] = 1.0 / dtau
+    F = rng.standard_normal(n)
+    ab = np.full((3 * bw + 1, n), np.nan, order="F")
+    ab[(2 * bw + r - c)[inside], c[inside]] = J[inside]
+    old, new = -ab, ab.copy(order="F")
+    old[2 * bw] += 1.0 / dtau
+    new[2 * bw] -= 1.0 / dtau
+    *_, d_old, info_old = _lapack.dgbsv(bw, bw, old, F)
+    *_, d_new, info_new = _lapack.dgbsv(bw, bw, new, -F)
+    assert info_new == info_old
+    assert (info_old > 0) == (zero_column is not None)
+    if info_old == 0:
+        assert d_new.tobytes() == d_old.tobytes()
 
 
 def test_singular_step_matrix_carries_residual():
