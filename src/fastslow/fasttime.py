@@ -21,14 +21,19 @@ The same constant (including the factor 2) is used with and without
 transport so that the zero-diffusion limit of the PDE measurement reproduces
 the ODE one identically.
 
-Both transients are integrated by one ARS(2,2,2) IMEX Runge-Kutta loop
-(Ascher, Ruuth & Spiteri, Appl. Numer. Math. 25, 1997) at the fast-scale step
-``eps / (20 slow_rate)``, at most ``1 / max|lambda|``: diffusion implicit, the
-source explicit.  The implicit stages are tridiagonal solves, so the step is
-not held to the explicit diffusion limit dx^2 / (2 D); without transport the
-step is the explicit second-order Runge-Kutta method the tableau contains.
-The entry time is located inside the step by linear interpolation of ghat
-between the two steps that straddle sqrt(eps).
+One measurement times both transients.  It checks the start, sets and
+checks the step and the time budget, runs a step function, tracks the path
+length, locates the entry, anchors the start's fast fibre and forms the
+bound and the report.  A step function advances one transient by the
+ARS(2,2,2) IMEX Runge-Kutta scheme (Ascher, Ruuth & Spiteri, Appl. Numer.
+Math. 25, 1997), one step per yield, with diffusion implicit and the source
+explicit: :func:`_pde_steps` with tridiagonal implicit stages and the K
+sample, :func:`_ode_steps` without transport, which leaves the explicit
+second-order Runge-Kutta method the tableau contains.  The step is the
+fast-scale ``eps / (20 slow_rate)``, at most ``1 / max|lambda|``; it is not
+held to the explicit diffusion limit dx^2 / (2 D).  The entry time is
+located inside the step by linear interpolation of ghat between the two
+steps that straddle sqrt(eps).
 """
 
 from __future__ import annotations
@@ -130,7 +135,7 @@ def _check_step(dec: GqlDecomposition, dt: float, max_time: float) -> None:
 
 # ARS(2,2,2): both implicit stages carry GAMMA on the diagonal, so one
 # factorisation serves the whole run; the last stage is the new state.
-GAMMA = 1.0 - np.sqrt(0.5)
+GAMMA = 1.0 - math.sqrt(0.5)
 DELTA = 1.0 - 0.5 / GAMMA
 
 
@@ -158,65 +163,39 @@ def _diffusion_solver(diffusion, node_count: int, dx: float, dt: float):
     return solve
 
 
-def _measure(dec, model, y, track, dt, max_time, terms, solver):
-    """Integrate dy/dt = f(y) + L y until the tracked state enters the slow
-    neighborhood and compare the entry time with the bound.
+def _measure(dec, model, z0, steps, dt, max_time):
+    """Run a transient until its tracked state enters the slow neighborhood
+    and compare the entry time with the bound.
 
-    One ARS(2,2,2) step: ``terms(Y)`` gives the explicit source ``f(Y)`` and
-    the transport ``L Y``, and ``solver(dt)`` the implicit-stage solve
-    ``b -> (I - GAMMA dt L)^(-1) b``; the tracked state is ``y[track]``.
-    The two arrays of a ``terms`` call must stay valid through the next
-    call, as a step's two sets of terms are used side by side.  Without
-    transport (the ODE) ``terms``, ``solver`` and ``track`` are None: ``y``
-    is the tracked state, the step calls ``model.source`` itself and skips
-    the implicit stages (the identity), the transport and its K sample,
-    and its two stage sums are formed on the Python floats of the state
-    and its rates, in the operations and order of the array expressions,
-    so with the same values at a fraction of the cost on 3 species.  The
-    terms of each new state serve three uses: the entry test of the
-    tracked state, a K sample if it has not entered, and the first stage
-    of the next step.  The ODE evaluates its start once, through
-    :func:`~fastslow.core.eval_source`, so a start whose source is not
-    finite raises DivergenceError; that one array gives the start check's
-    ghat and step 1's first stage.  The PDE checks its tracked node with its
-    own single-state call, as a node's rates in a stack of nodes need not
-    match those of a single-state call bit for bit.  With one fast coordinate
-    the path increments and the entry test's ghat are taken on Python
-    floats, ``sqrt(d * d)``: a one-element dot product is one rounded
-    product, so these are the bits of the array norms they replace; the
-    projections ``Zt_f @ z`` stay numpy's.  The default ``dt`` is
-    :func:`_default_dt`.
-    A step that leaves ``y`` non-finite raises DivergenceError.  The PDE
-    tests ``y`` at every step, as it tracks one node.  The ODE tests it
-    only once the path length is non-finite: under IEEE arithmetic a
-    non-finite component of ``y`` makes ``Zt_f @ y`` non-finite even where
-    ``Zt_f`` is zero (0 * inf and 0 * NaN are NaN), and so the path, so it
-    raises at the same step.
+    ``z0`` is the tracked state at the start, and ``steps(F, dt)`` the
+    transient's step function: a generator that takes the start's rates
+    ``F`` and the step ``dt`` and yields, once per step, the tracked state,
+    its rates and the transport ratio K sampled so far.  It ends without a
+    yield at the step that leaves its state non-finite, where the
+    measurement raises DivergenceError; it runs under this function's
+    ``np.errstate``, so such a step overflows without a warning.  The start
+    is evaluated once, through :func:`~fastslow.core.eval_source` (a start
+    whose source is not finite raises DivergenceError), for the start check
+    and the step function.  With one fast coordinate the path increments
+    and the entry test's ghat are taken on Python floats, ``sqrt(d * d)``:
+    a one-element dot product is one rounded product, so these are the bits
+    of the array norms they replace; the projections ``Zt_f @ z`` stay
+    numpy's.  The default ``dt`` is :func:`_default_dt`.
     """
     threshold = math.sqrt(dec.epsilon)
-    source, Zt_f, fast_rate = model.source, dec.Zt_f, dec.fast_rate
-    if track is None:  # one evaluation: the start's check and step 1's first stage
-        z0 = y
-        with np.errstate(over="ignore", invalid="ignore"):
-            F1 = eval_source(model, y)
-            g = _norm(Zt_f @ F1) / fast_rate
-    else:
-        z0 = y[track]
-        g = fast_residual_norm(dec, model, z0)
+    Zt_f, fast_rate = dec.Zt_f, dec.fast_rate
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = eval_source(model, z0)
+        g = _norm(Zt_f @ F) / fast_rate
     if g < threshold:
         raise ContractViolationError("the start state already lies in the slow neighborhood")
     if dt is None:
         dt = _default_dt(dec)
     if max_time is None:
-        max_time = 200.0 / dec.fast_rate
+        max_time = 200.0 / fast_rate
     _check_step(dec, dt, max_time)
-    if solver is not None:
-        solve = solver(dt)
-    # Python floats, for the ODE's stage sums
-    h, gamma_dt, delta, rest = float(dt), float(GAMMA * dt), float(DELTA), float(1.0 - DELTA)
-    transport_dt = (1.0 - GAMMA) * dt
-    t = K = path = 0.0
-    steps = 0
+    t = path = 0.0
+    count = 0
     U0 = Zt_f @ z0
     if U0.size == 1:  # one fast coordinate: its norms on Python floats
         def coordinate(v):
@@ -232,45 +211,23 @@ def _measure(dec, model, y, track, dt, max_time, terms, solver):
         def size(d):
             return math.sqrt(d @ d)  # np.linalg.norm's formula for a real vector
         U_prev = U0
-    # an unstable step overflows; the finiteness check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        if solver is None:
-            v = y.tolist()
-        else:
-            F1, L1 = terms(y)
-        while True:
-            if t > max_time:
-                raise ConvergenceError(
-                    f"tracked state did not enter the slow neighborhood by t = {max_time:g}"
-                )
-            if solver is None:
-                f1 = F1.tolist()
-                f2 = source(np.array([a + gamma_dt * f for a, f in zip(v, f1)])).tolist()
-                v = [a + h * (delta * p + rest * q) for a, p, q in zip(v, f1, f2)]
-                y = z = np.array(v)
-            else:
-                K = max(K, _transport_ratio_max(dec, F1, L1))
-                F2, L2 = terms(solve(y + gamma_dt * F1))
-                y = solve(y + h * (delta * F1 + rest * F2) + transport_dt * L2)
-                z = y[track]
-            steps += 1
+        for z, F, K in steps(F, dt):
+            count += 1
             U = coordinate(z)
             path += size(U - U_prev)
-            # the ODE tracks all of y: a non-finite y makes path non-finite
-            if (solver is not None or not path < math.inf) and not np.isfinite(y).all():
-                raise DivergenceError(
-                    f"transient became non-finite by t = {t + dt:g} (dt = {dt:g})")
             U_prev = U
-            if solver is None:
-                F1 = source(y)
-                g_new = size(coordinate(F1)) / fast_rate
-            else:
-                F1, L1 = terms(y)
-                g_new = size(coordinate(F1[track])) / fast_rate
+            g_new = size(coordinate(F)) / fast_rate
             if g_new < threshold:
                 break
             g = g_new
             t += dt
+            if t > max_time:
+                raise ConvergenceError(
+                    f"tracked state did not enter the slow neighborhood by t = {max_time:g}"
+                )
+        else:
+            raise DivergenceError(f"transient became non-finite by t = {t + dt:g} (dt = {dt:g})")
     t_slow = (t + dt * (g - threshold) / (g - g_new)) * dec.slow_rate
     # the fast fiber through the start meets the zero-order manifold at z_s
     z_s, ok = solve_on_fiber(dec, model, dec.Zt_s @ z0, U0=U0, tol=1e-12)
@@ -287,9 +244,33 @@ def _measure(dec, model, y, track, dt, max_time, terms, solver):
         ratio=t_slow / bound if bound > 0.0 else np.inf,
         path_length=path,
         length_ok=bool(path <= 2.0 * dist),
-        steps=steps,
+        steps=count,
         dt=dt,
     )
+
+
+def _ode_steps(model, y, F, dt):
+    """ARS(2,2,2) steps of dz/dt = phi(z) from ``y``, whose rates are ``F``:
+    without transport the implicit stages are the identity, so this is the
+    explicit second-order Runge-Kutta method of the tableau, and K is 0.
+    The stage sums are formed on the Python floats of the state and its
+    rates, in the operations and order of the PDE's array expressions, so
+    with the same values at a fraction of the cost on 3 species.  Each step
+    calls ``model.source`` twice: its second stage and the new state, whose
+    rates serve the entry test and the next step's first stage."""
+    source = model.source
+    h = float(dt)  # numpy scalars would slow the float arithmetic
+    gamma_dt, rest = GAMMA * h, 1.0 - DELTA
+    v = y.tolist()
+    while True:
+        f1 = F.tolist()
+        f2 = source(np.array([a + gamma_dt * f for a, f in zip(v, f1)])).tolist()
+        v = [a + h * (DELTA * p + rest * q) for a, p, q in zip(v, f1, f2)]
+        if not all(map(math.isfinite, v)):
+            return
+        y = np.array(v)
+        F = source(y)
+        yield y, F, 0.0
 
 
 def measure_fast_time_ode(dec: GqlDecomposition, model: ReactionDiffusionModel,
@@ -297,8 +278,8 @@ def measure_fast_time_ode(dec: GqlDecomposition, model: ReactionDiffusionModel,
                           max_time: float | None = None) -> FastTimeReport:
     """Integrate dz/dt = phi(z) and time the entry into the slow neighborhood:
     the PDE measurement on one node without transport."""
-    return _measure(dec, model, as_state(z0, model.dimension), None, dt, max_time,
-                    None, None)
+    y = as_state(z0, model.dimension)
+    return _measure(dec, model, y, lambda F, dt: _ode_steps(model, y, F, dt), dt, max_time)
 
 
 def _transport_ratio_max(dec, source, transport):
@@ -316,12 +297,41 @@ def _transport_ratio_max(dec, source, transport):
     return float((Ln[outside] / gn[outside]).max())
 
 
+def _pde_steps(dec, model, y, track, dx, dt):
+    """ARS(2,2,2) steps of dy/dt = f(y) + D Lap y from the profile ``y``,
+    its end rows held, tracking node ``track``: diffusion implicit
+    (:func:`_diffusion_solver`), the source explicit.  Each step samples K
+    (:func:`_transport_ratio_max`) at the state it starts from, whose
+    tracked node has not entered, and evaluates the N - 2 interior nodes
+    twice: its second stage and the new state, whose terms serve the entry
+    test, the next K sample and the next step's first stage.  The terms go into one fixed
+    (F, L) pair of buffers per stage, whose held end rows stay zero."""
+    solve = _diffusion_solver(model.diffusion, y.shape[0], dx, dt)
+    gamma_dt, rest, transport_dt = GAMMA * dt, 1.0 - DELTA, (1.0 - GAMMA) * dt
+    F1, L1, F2, L2 = np.zeros((4,) + y.shape)
+    F1[1:-1], L1[1:-1] = interior_terms(model, y, dx)
+    K = 0.0
+    while True:
+        K = max(K, _transport_ratio_max(dec, F1, L1))
+        F2[1:-1], L2[1:-1] = interior_terms(model, solve(y + gamma_dt * F1), dx)
+        y = solve(y + dt * (DELTA * F1 + rest * F2) + transport_dt * L2)
+        if not np.isfinite(y).all():
+            return
+        F1[1:-1], L1[1:-1] = interior_terms(model, y, dx)
+        yield y[track], F1[track], K
+
+
 def measure_fast_time_pde(dec: GqlDecomposition, model: ReactionDiffusionModel,
                           bc: BoundaryConditions, settings: SolverSettings | None = None,
                           x0: float = 0.8, dt: float | None = None,
                           max_time: float | None = None) -> FastTimeReport:
-    """Track the node nearest x0 of the transient PDE solution and time its
-    entry into the slow neighborhood; K is accumulated along the way."""
+    """Track the node nearest x0 of the transient PDE solution from the
+    linear profile and time its entry into the slow neighborhood; K is
+    accumulated along the way.  Of ``settings`` only ``node_count`` is read.
+
+    The start check evaluates the tracked node on its own, and the steps
+    evaluate it again in the stack of interior nodes, as a node's rates in
+    a stack need not match a single-state call bit for bit."""
     settings = settings or SolverSettings()
     if not 0.0 < x0 < 1.0:
         raise ContractViolationError("x0 must lie strictly inside (0, 1)")
@@ -332,18 +342,6 @@ def measure_fast_time_pde(dec: GqlDecomposition, model: ReactionDiffusionModel,
             "x0 falls on a Dirichlet-held boundary node"
         )
     states = linear_initial_profile(bc.left_state, bc.right_state, grid).states
-    dx = grid.spacing
-
-    # two (F, L) buffers in turn, so that a step's two sets of terms can
-    # live side by side; the held end rows get neither source nor
-    # transport, and stay zero
-    buffers = [np.zeros((2,) + states.shape) for _ in range(2)]
-
-    def terms(S):
-        buffers.reverse()
-        F, L = buffers[0]
-        F[1:-1], L[1:-1] = interior_terms(model, S, dx)
-        return F, L
-
-    return _measure(dec, model, states, i0, dt, max_time, terms,
-                    lambda dt: _diffusion_solver(model.diffusion, grid.node_count, dx, dt))
+    return _measure(dec, model, states[i0],
+                    lambda F, dt: _pde_steps(dec, model, states, i0, grid.spacing, dt),
+                    dt, max_time)

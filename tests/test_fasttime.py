@@ -1,11 +1,18 @@
 import dataclasses
+import functools
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fastslow.core import Grid1D
-from fastslow.errors import ContractViolationError, ConvergenceError, DivergenceError
+from fastslow.errors import (
+    ContractViolationError,
+    ConvergenceError,
+    DivergenceError,
+    FastSlowError,
+)
 from fastslow.fasttime import (
     GAMMA,
     _default_dt,
@@ -232,6 +239,51 @@ def test_pde_zero_diffusion_degenerates_to_ode():
     assert rep_pde.path_length == pytest.approx(rep_ode.path_length, abs=1e-13)
 
 
+@functools.cache
+def _zero_diffusion():
+    """The enzyme model at delta = 0, its equilibrium and its split."""
+    from fastslow.gql import build_surrogate, default_sample_states
+    from fastslow.models import equilibrium
+    m0 = michaelis_menten_model(MichaelisMentenParams(delta=0.0))
+    eq = equilibrium(m0, [1.0, 0.5, 0.5])
+    return m0, eq, spectral_split(build_surrogate(m0, default_sample_states(m0, extra=[eq])))
+
+
+def _outcome(measure, *args, **kwargs):
+    try:
+        return measure(*args, **kwargs)
+    except FastSlowError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(corner=st.tuples(*[st.floats(0.0, 1.0)] * 3), N=st.sampled_from([11, 21, 101]),
+       x0=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_pde_step_without_diffusion_is_the_ode_step(corner, N, x0):
+    """Without diffusion the PDE's step function takes the ODE's steps at
+    every interior node: from a right state anywhere in the working box and
+    any tracked node, the PDE report is the ODE report from that node's
+    start, field for field where it enters, or both raise the same error
+    (about half the draws start inside the slow neighborhood).  The
+    implicit stages solve a unit diagonal, the transport is zero, and the
+    array stage sums are the ODE's float sums in the same order."""
+    m0, eq, dec = _zero_diffusion()
+    i0 = round(x0 * (N - 1))
+    assume(0 < i0 < N - 1)
+    lo, hi = m0.working_box
+    right = lo + np.array(corner) * (hi - lo)
+    z0 = linear_initial_profile(eq, right, Grid1D(N)).states[i0]
+    pde = _outcome(measure_fast_time_pde, dec, m0, BoundaryConditions(eq, right),
+                   SolverSettings(node_count=N), x0=x0)
+    ode = _outcome(measure_fast_time_ode, dec, m0, z0)
+    if isinstance(ode, tuple):
+        assert pde == ode
+        return
+    for field in ("t_enter", "y0_distance", "bound", "steps", "dt"):
+        assert getattr(pde, field) == getattr(ode, field), field
+    assert pde.K == 0.0
+
+
 def test_entry_times_match_the_fine_step_reference(mm_dec, mm_model, mm_bc,
                                                    fasttime_ode_mm, fasttime_pde_mm):
     """Default-step entry times against RK4 at dt = 5e-5 (written by
@@ -386,13 +438,12 @@ def test_source_turning_non_finite_raises_divergence():
     half way to the slow neighborhood, stops both measurements with
     DivergenceError, not with a contract error on the non-finite source.
 
-    The ODE tests the finiteness of its state only once the fast-coordinate
-    path length is non-finite.  ``Zt_f`` is zero on the slow species here, so
-    a source NaN in the slow component alone, and a slow component that
-    overflows from a start whose fast coordinate is finite, reach the path
-    only through ``0 * NaN`` and ``0 * inf``: both still stop at the step
-    where the state turned non-finite (t = 0.75 and 0.05, as when every
-    step was tested)."""
+    ``Zt_f`` is zero on the slow species here, so a source NaN in the slow
+    component alone, and a slow component that overflows from a start whose
+    fast coordinate is finite, reach the tracked fast coordinate only
+    through ``0 * NaN`` and ``0 * inf``: both stop at the step where the
+    state turned non-finite (t = 0.75 and 0.05), as each step function
+    tests its whole state."""
     A = np.diag([-1e-4, -1.0])
     model = linear_model(A, np.zeros(2), diffusion=np.full(2, 0.01))
     dec = spectral_split(A)
